@@ -38,7 +38,7 @@ from .simulation import (
     write_replicate_csv,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -85,6 +85,7 @@ def _fit_diagnostics(fit: RegressionFit | FitFailure | None) -> dict | None:
         "iterations": d.iterations,
         "residual_norm": float(d.residual_norm),
         "rcond": float(d.rcond),
+        "screened_reasons": list(d.screened_reasons),
     }
 
 

@@ -11,8 +11,10 @@ Two fitting routes share a single estimating-function interface:
   starting points, screening implausible roots.
 
 Both return per-observation estimating-function values, the averaged Jacobian
-``A``, and the sandwich covariance ``A^-1 B A^-T / n``, which downstream
-inference stacks across the mediator and outcome models.
+``A`` and the sandwich covariance ``A^-1 B A^-T / n``. Each fit computes its
+``A`` once, by central differences with any fitted nuisance held fixed;
+downstream inference stacks the fits' ``psi_values`` and ``jacobian_A`` across
+the mediator and outcome models without re-evaluating either.
 """
 
 from __future__ import annotations
@@ -75,11 +77,10 @@ class RegressionFit:
     """A fitted regression with its inferential ingredients.
 
     ``psi_values`` holds the n x (p+1) per-observation estimating-function
-    rows at the solution, ``jacobian_A`` their averaged parameter derivative,
-    and ``cov`` the sandwich covariance of theta. ``psi_fn`` re-evaluates the
-    per-observation rows at an arbitrary parameter point with any fitted
-    nuisance (the estimated score function) plugged in and held fixed, which
-    is what stacked inference differentiates.
+    rows at the solution, ``jacobian_A`` their averaged parameter derivative
+    with any fitted nuisance (the estimated score function) held fixed, and
+    ``cov`` the sandwich covariance of theta. Stacked inference takes
+    ``jacobian_A`` as its diagonal block as is.
     """
 
     params: ParameterPoint
@@ -90,7 +91,6 @@ class RegressionFit:
     diagnostics: FitDiagnostics
     design: DesignMatrix
     response: np.ndarray
-    psi_fn: Callable[[ParameterPoint], np.ndarray]
 
     @property
     def n(self) -> int:
@@ -208,12 +208,8 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     e = y - X @ beta
     sigma2 = float(e @ e) / (n - p)
     point = ParameterPoint(beta, sigma2)
-
-    def psi_fn(pt: ParameterPoint) -> np.ndarray:
-        return ols_psi(design, y, pt)
-
-    psi = psi_fn(point)
-    A = mean_psi_jacobian(lambda v: psi_fn(ParameterPoint.from_vector(v)).mean(axis=0), point.as_vector())
+    psi = ols_psi(design, y, point)
+    A = mean_psi_jacobian(lambda v: ols_psi(design, y, ParameterPoint.from_vector(v)).mean(axis=0), point.as_vector())
     B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
     diag = FitDiagnostics(
@@ -222,7 +218,7 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
         residual_norm=float(np.max(np.abs(psi.mean(axis=0)))),
         rcond=reciprocal_condition(A),
     )
-    return RegressionFit(point, "ols", psi, A, cov, diag, design, y, psi_fn)
+    return RegressionFit(point, "ols", psi, A, cov, diag, design, y)
 
 
 def _score_values(r: np.ndarray, pts: np.ndarray, h: float, exclude_self: bool) -> np.ndarray:
@@ -343,12 +339,12 @@ def semiparam_psi(
     return _assemble_score_psi(design, e, s - s.mean(), point.sigma2)
 
 
-def frozen_score_psi_fn(
+def frozen_score_psi_and_jacobian(
     design: DesignMatrix,
     response: np.ndarray,
     root: ParameterPoint,
-) -> Callable[[ParameterPoint], np.ndarray]:
-    """Per-observation estimating function with the fitted score plugged in.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimating-function rows at the root and their Jacobian, fitted score frozen.
 
     The kernel score function (data points, bandwidth, centering constant) is
     frozen at the root's residuals; only the evaluation points move with the
@@ -356,20 +352,25 @@ def frozen_score_psi_fn(
     score inside the difference quotient, is what makes the sandwich
     A^-1 B A^-T consistent for the estimator's variance: the adaptive score
     estimate is first-order ignorable, while re-estimation inside A cancels
-    part of the derivative and inflates the variance roughly twofold.
+    part of the derivative and inflates the variance roughly twofold. At the
+    root the evaluation points are the data points, so the one kernel pass
+    that gives the centering constant also gives the rows.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
     root_resid = y - X @ root.beta
     h0 = silverman_bandwidth(root_resid)
-    center = float(_score_values(root_resid, root_resid, h0, exclude_self=True).mean())
+    root_score = _score_values(root_resid, root_resid, h0, exclude_self=True)
+    center = float(root_score.mean())
 
-    def psi_fn(point: ParameterPoint) -> np.ndarray:
+    def mean_psi(v: np.ndarray) -> np.ndarray:
+        point = ParameterPoint.from_vector(v)
         e = y - X @ point.beta
         s = _score_values(root_resid, e, h0, exclude_self=True) - center
-        return _assemble_score_psi(design, e, s, point.sigma2)
+        return _assemble_score_psi(design, e, s, point.sigma2).mean(axis=0)
 
-    return psi_fn
+    psi = _assemble_score_psi(design, root_resid, root_score - center, root.sigma2)
+    return psi, mean_psi_jacobian(mean_psi, root.as_vector())
 
 
 def newton_root(
@@ -522,14 +523,12 @@ def fit_semiparametric(
             continue
         point = ParameterPoint.from_vector(result.root)
         try:
-            psi_fn = frozen_score_psi_fn(design, y, point)
+            psi, A = frozen_score_psi_and_jacobian(design, y, point)
         except EstimationError as exc:
             reasons.append(f"start {idx}: {exc}")
             continue
-        A = mean_psi_jacobian(lambda v: psi_fn(ParameterPoint.from_vector(v)).mean(axis=0), result.root)
         rcond = reciprocal_condition(A)
         cov: np.ndarray | None = None
-        psi = psi_fn(point)
         if rcond > rule.rcond_min:
             B = psi.T @ psi / n
             cov = sandwich_covariance(A, B, n)
@@ -543,11 +542,7 @@ def fit_semiparametric(
                 rcond=rcond,
                 screened_reasons=tuple(reasons),
             )
-            return RegressionFit(point, "semiparametric", psi, A, cov, diag, design, y, psi_fn)
+            return RegressionFit(point, "semiparametric", psi, A, cov, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure("semiparametric", tuple(reasons))
 
-
-def psi_for(fit: RegressionFit, point: ParameterPoint) -> np.ndarray:
-    """Evaluate the fit's estimating function (fitted nuisance fixed) at a point."""
-    return fit.psi_fn(point)

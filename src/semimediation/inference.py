@@ -25,12 +25,9 @@ from .data import (
 )
 from .estimators import (
     FitFailure,
-    ParameterPoint,
     RegressionFit,
     fit_ols,
     fit_semiparametric,
-    mean_psi_jacobian,
-    psi_for,
     reciprocal_condition,
     sandwich_covariance,
 )
@@ -118,11 +115,11 @@ def _index_map(med_design: DesignMatrix, out_design: DesignMatrix) -> ParameterI
 def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     """Stack the mediator and outcome estimating equations.
 
-    A is the averaged parameter Jacobian of the stacked psi, computed by
-    central differences block by block (the two models share no parameters, so
-    the off-diagonal blocks are identically zero); B is the averaged outer
-    product, whose cross blocks capture the dependence induced by the shared
-    sample. cov = A^-1 B A^-T / n.
+    A is the averaged parameter Jacobian of the stacked psi. The two models
+    share no parameters, so A is block diagonal with each fit's own
+    ``jacobian_A`` as its block and exact zeros elsewhere; nothing is
+    re-evaluated here. B is the averaged outer product, whose cross blocks
+    capture the dependence induced by the shared sample. cov = A^-1 B A^-T / n.
     """
     if med.n != out.n:
         raise InferenceError(f"fits are on different sample sizes ({med.n} vs {out.n})")
@@ -137,12 +134,8 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     psi = np.hstack([med.psi_values, out.psi_values])
 
     A = np.zeros((dim, dim))
-    A[:d1, :d1] = mean_psi_jacobian(
-        lambda v: psi_for(med, ParameterPoint.from_vector(v)).mean(axis=0), theta[:d1]
-    )
-    A[d1:, d1:] = mean_psi_jacobian(
-        lambda v: psi_for(out, ParameterPoint.from_vector(v)).mean(axis=0), theta[d1:]
-    )
+    A[:d1, :d1] = med.jacobian_A
+    A[d1:, d1:] = out.jacobian_A
     rcond = reciprocal_condition(A)
     if not (rcond > 1e-10):
         raise InferenceError(f"stacked jacobian numerically singular (rcond={rcond:.3g})")

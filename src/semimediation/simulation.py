@@ -17,11 +17,13 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-from .data import Dataset, dataset_from_arrays
+from .data import DataError, Dataset, dataset_from_arrays
+from .estimators import EstimationError
 from .inference import (
     INTERACTION_EFFECTS,
     METHOD_OLS,
     METHOD_SEMIPARAMETRIC,
+    InferenceError,
     MediationResult,
     effect_map_g1,
     mediate,
@@ -172,7 +174,9 @@ def _run_replicate(config: ScenarioConfig, index: int, methods: tuple[str, ...])
         result: MediationResult | None = mediate(
             data, "T", "M", "Y", covariates=(), interaction=True, method="both" if len(methods) > 1 else methods[0]
         )
-    except Exception:
+    except (EstimationError, InferenceError, DataError, np.linalg.LinAlgError):
+        # A numerical or input failure of this replicate; anything else is a
+        # bug and propagates.
         result = None
     out: list[ReplicateResult] = []
     for m in methods:

@@ -56,7 +56,10 @@ class TestMediateCommand:
         assert set(report["effects"]) == {"ols", "semiparametric"}
         for method in ("ols", "semiparametric"):
             assert len(report["effects"][method]["effects"]) == 5
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        for method in ("ols", "semiparametric"):
+            for model in ("mediator", "outcome"):
+                assert isinstance(report["diagnostics"][method][model]["screened_reasons"], list)
         assert report["diagnostics"]["ols"]["interaction_p_value"] is not None
 
     def test_report_roundtrips_library_values_exactly(self, mediation_csv, tmp_path):

@@ -277,7 +277,6 @@ def _fake_ols(beta, sigma2):
         FitDiagnostics(None, 0, 0.0, 1.0),
         design,
         np.zeros(n),
-        lambda pt: np.zeros((n, p + 1)),
     )
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimediation import estimators
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
-from semimediation.estimators import fit_ols, sandwich_covariance
+from semimediation.estimators import fit_ols, fit_semiparametric, sandwich_covariance
 from semimediation.inference import (
     InferenceError,
     StackedFit,
@@ -169,12 +170,44 @@ class TestSandwichAndStacking:
 
     def test_block_diagonal_jacobian(self, laplace_mediation_data):
         data = laplace_mediation_data
-        med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
-        out = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
-        st_fit = stack_fits(med, out)
-        d1 = med.design.p + 1
-        assert np.all(st_fit.A[:d1, d1:] == 0.0)
-        assert np.all(st_fit.A[d1:, :d1] == 0.0)
+        for fit in (fit_ols, fit_semiparametric):
+            med = fit(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
+            out = fit(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
+            st_fit = stack_fits(med, out)
+            d1 = med.design.p + 1
+            assert np.array_equal(st_fit.A[:d1, :d1], med.jacobian_A)
+            assert np.array_equal(st_fit.A[d1:, d1:], out.jacobian_A)
+            assert np.all(st_fit.A[:d1, d1:] == 0.0)
+            assert np.all(st_fit.A[d1:, :d1] == 0.0)
+
+    def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
+        # Each accepted fit makes one kernel-score pass per Newton evaluation,
+        # one at the root (centering constant and psi rows together) and two
+        # per parameter for the central-difference A; stacking makes none.
+        calls = {"passes": 0, "psi": 0}
+        score_values, semiparam_psi = estimators._score_values, estimators.semiparam_psi
+
+        def counting_score_values(*args, **kwargs):
+            calls["passes"] += 1
+            return score_values(*args, **kwargs)
+
+        def counting_semiparam_psi(*args, **kwargs):
+            calls["psi"] += 1
+            return semiparam_psi(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_score_values", counting_score_values)
+        monkeypatch.setattr(estimators, "semiparam_psi", counting_semiparam_psi)
+        data = laplace_mediation_data
+        fits = []
+        for spec in (ModelSpec(response="M", treatment="T"), ModelSpec(response="Y", treatment="T", mediator="M")):
+            calls.update(passes=0, psi=0)
+            fit = fit_semiparametric(build_design(data, spec), data.column(spec.response))
+            assert fit.diagnostics.start_index_used == 0
+            assert calls["passes"] - calls["psi"] == 1 + 2 * (fit.design.p + 1)
+            fits.append(fit)
+        calls.update(passes=0, psi=0)
+        stack_fits(*fits)
+        assert calls == {"passes": 0, "psi": 0}
 
     def test_mismatched_sizes_rejected(self, laplace_mediation_data):
         data = laplace_mediation_data
@@ -187,8 +220,6 @@ class TestSandwichAndStacking:
             stack_fits(med, out)
 
     def test_mixed_methods_rejected(self, laplace_mediation_data):
-        from semimediation.estimators import fit_semiparametric
-
         data = laplace_mediation_data
         med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
         out = fit_semiparametric(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semimediation.simulation as sim
+from semimediation.estimators import EstimationError
 from semimediation.simulation import (
     DgpConstants,
     ErrorSpec,
@@ -186,6 +187,28 @@ class TestRunScenario:
         assert rows[0].success_rate == 0.5
         assert rows[0].reps_used == 1
         assert rows[0].coverage == 1.0
+
+
+class TestReplicateFailures:
+    CONFIG = ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=60, reps=2, seed=4)
+
+    def test_estimation_error_is_a_failed_replicate(self, monkeypatch):
+        def failing_mediate(*args, **kwargs):
+            raise EstimationError("degenerate density estimate")
+
+        monkeypatch.setattr(sim, "mediate", failing_mediate)
+        results = run_replicates(self.CONFIG)
+        assert len(results) == 4
+        assert not any(r.success for r in results)
+        assert all(np.isnan(r.estimates).all() for r in results)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def buggy_mediate(*args, **kwargs):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr(sim, "mediate", buggy_mediate)
+        with pytest.raises(IndexError):
+            run_replicates(self.CONFIG)
 
 
 class TestPowerStudy:
