@@ -11,10 +11,12 @@ Two fitting routes share a single estimating-function interface:
   starting points, screening implausible roots.
 
 Both return per-observation estimating-function values, the averaged Jacobian
-``A`` and the sandwich covariance ``A^-1 B A^-T / n``. Each fit computes its
-``A`` once, by central differences with any fitted nuisance held fixed;
-downstream inference stacks the fits' ``psi_values`` and ``jacobian_A`` across
-the mediator and outcome models without re-evaluating either.
+``A`` and the sandwich covariance ``A^-1 B A^-T / n``. Every Jacobian is exact
+and closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``,
+and one Gaussian-kernel pass gives the score together with its derivative as
+moment sums, for Newton (score re-estimated) and for ``A`` (score frozen at the
+root). Downstream inference stacks the fits' ``psi_values`` and ``jacobian_A``
+across the mediator and outcome models without re-evaluating either.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ MAX_NEWTON_ITERATIONS = 200
 NEWTON_RESIDUAL_TOL = 1e-8
 NEWTON_STEP_TOL = 1e-10
 MAX_STEP_HALVINGS = 10
-FD_STEP_REL = 1e-6
-JACOBIAN_STEP_REL = 1e-5
 ACCEPT_PSI_MEAN_TOL = 1e-6
 
 # Kernel-score constants: density floor relative to the peak, and the
@@ -146,21 +146,6 @@ class NewtonResult:
     reason: str | None = None
 
 
-def mean_psi_jacobian(mean_psi: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of the averaged estimating function."""
-    theta = np.asarray(theta, dtype=float)
-    dim = theta.size
-    J = np.empty((dim, dim))
-    for j in range(dim):
-        step = JACOBIAN_STEP_REL * max(1.0, abs(theta[j]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        J[:, j] = (mean_psi(hi) - mean_psi(lo)) / (2.0 * step)
-    return J
-
-
 def reciprocal_condition(matrix: np.ndarray) -> float:
     """Smallest-to-largest singular-value ratio; 0.0 for non-finite input."""
     if not np.all(np.isfinite(matrix)):
@@ -193,7 +178,8 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
 
     ``sigma2`` is the usual RSS/(n-p); the variance moment row therefore does
     not average to zero exactly, but the coefficient block of the sandwich is
-    unaffected because the averaged Jacobian is block-triangular in sigma2.
+    unaffected because the averaged Jacobian
+    ``[[-X'X/n, 0], [-2 mean(e x)', -1]]`` is block-triangular in sigma2.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
@@ -209,7 +195,10 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     sigma2 = float(e @ e) / (n - p)
     point = ParameterPoint(beta, sigma2)
     psi = ols_psi(design, y, point)
-    A = mean_psi_jacobian(lambda v: ols_psi(design, y, ParameterPoint.from_vector(v)).mean(axis=0), point.as_vector())
+    A = np.zeros((p + 1, p + 1))
+    A[:p, :p] = -(X.T @ X) / n
+    A[p, :p] = -2.0 * (e @ X) / n
+    A[p, p] = -1.0
     B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
     diag = FitDiagnostics(
@@ -221,36 +210,87 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     return RegressionFit(point, "ols", psi, A, cov, diag, design, y)
 
 
-def _score_values(r: np.ndarray, pts: np.ndarray, h: float, exclude_self: bool) -> np.ndarray:
-    """Clamped, clipped kernel score values; optionally drop index-paired self terms."""
-    # Unnormalized kernel sums; the 1/(n h sqrt(2 pi)) factor cancels both in
-    # the ratio f'/f and in the relative density floor.
-    u = (pts[:, None] - r[None, :]) / h
-    K = np.exp(-0.5 * u * u)
-    density = K.sum(axis=1)
-    # f'(e) proportional to -sum(u K)/h, so f'/f = -(sum u K)/(h sum K).
-    numer = -(u * K).sum(axis=1) / h
-    if exclude_self:
-        d = (pts - r) / h
-        k_self = np.exp(-0.5 * d * d)
-        density = density - k_self
-        numer = numer + d * k_self / h
+def _kernel_score(
+    r: np.ndarray,
+    pts: np.ndarray,
+    h: float,
+    leave_one_out: bool,
+    X: np.ndarray | None = None,
+    dh: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clamped, clipped kernel score at ``pts`` and, given a design, its beta-derivative.
 
-    floor = DENSITY_FLOOR_REL * float(density.max(initial=0.0))
-    ok = density >= floor
+    One pass over K_ik = exp(-u_ik^2 / 2), u_ik = (pts_i - r_k) / h, with the
+    index-paired terms K_ii dropped under ``leave_one_out``. With the row sums
+    S_j = sum_k u^j K the score is f'/f = -S1 / (h S0); the kernel's
+    1/(n h sqrt(2 pi)) factor cancels both here and in the relative density
+    floor.
+
+    Given the design ``X`` of the residuals pts = r = y - X beta (so
+    d pts_i / d beta = -x_i), the same pass returns ds = d score / d beta,
+    n x p. With ``dh`` None the score function is frozen: data points,
+    bandwidth and clip bound stay put and only the evaluation points move,
+    which needs S2 alone. Otherwise the score is re-estimated: the data points
+    move too, adding the products K X, (u K) X and (u^2 K) X, and the bandwidth
+    moves by ``dh`` (zeros for a fixed one), adding S2 and S3. Clamped points
+    take the derivative of the point whose score they copy; clipped points
+    hold -s dh / h, the derivative of the clip bound.
+    """
+    # In place where possible: three n x n arrays (u, K, W) are live at most.
+    u = np.subtract.outer(pts, r)
+    u /= h
+    K = u * u
+    K *= -0.5
+    np.exp(K, out=K)
+    if leave_one_out:
+        np.fill_diagonal(K, 0.0)
+    W = u * K
+    S0 = K.sum(axis=1)
+    S1 = W.sum(axis=1)
+
+    floor = DENSITY_FLOOR_REL * float(S0.max(initial=0.0))
+    ok = S0 >= floor
     if floor <= 0.0 or not ok.any():
         raise EstimationError("degenerate density estimate")
-    score = np.zeros_like(pts)
-    np.divide(numer, density, out=score, where=ok)
+    raw = np.zeros_like(pts)
+    np.divide(-S1 / h, S0, out=raw, where=ok)
+    # Each point reads its score from src: itself, or the nearest dense point.
+    src = np.arange(pts.size)
     if not ok.all():
         bad = np.flatnonzero(~ok)
         good = np.flatnonzero(ok)
-        nearest = good[np.abs(pts[bad][:, None] - pts[good][None, :]).argmin(axis=1)]
-        score[bad] = score[nearest]
-
+        src[bad] = good[np.abs(pts[bad][:, None] - pts[good][None, :]).argmin(axis=1)]
     clip = SCORE_CLIP_OVER_H / h
-    np.clip(score, -clip, clip, out=score)
-    return score
+    score = np.clip(raw[src], -clip, clip)
+    if X is None:
+        return score, None
+
+    if dh is None:
+        W *= u
+        S2 = W.sum(axis=1)
+        dS0 = X * (S1 / h)[:, None]
+        dS1 = X * (-(S0 - S2) / h)[:, None]
+    else:
+        KX = K @ X
+        UX = W @ X
+        W *= u
+        S2 = W.sum(axis=1)
+        U2X = W @ X
+        W *= u
+        S3 = W.sum(axis=1)
+        dS0 = (X * S1[:, None] - UX + np.outer(S2, dh)) / h
+        dS1 = -(X * (S0 - S2)[:, None] - KX + U2X + np.outer(S1 - S3, dh)) / h
+    inv = np.zeros_like(S0)
+    np.divide(1.0, S0, out=inv, where=ok)
+    # score = -q / h with q = S1 / S0, so dscore = -dq / h - score dh / h.
+    q = S1 * inv
+    draw = -(dS1 - q[:, None] * dS0) * (inv / h)[:, None]
+    if dh is not None:
+        draw -= np.outer(raw, dh) / h
+    ds = draw[src]
+    clipped = np.abs(raw[src]) > clip
+    ds[clipped] = 0.0 if dh is None else -np.outer(score[clipped], dh) / h
+    return score, ds
 
 
 def silverman_bandwidth(residuals: np.ndarray) -> float:
@@ -285,29 +325,38 @@ def estimate_score(
         h = float(bandwidth)
         if h <= 0.0:
             raise EstimationError("bandwidth must be positive")
-    return ScoreEstimate(pts, _score_values(r, pts, h, exclude_self=False), h, SCORE_CLIP_OVER_H / h)
+    return ScoreEstimate(pts, _kernel_score(r, pts, h, leave_one_out=False)[0], h, SCORE_CLIP_OVER_H / h)
 
 
-def _assemble_score_psi(
+def _score_psi_and_jacobian(
     design: DesignMatrix,
     e: np.ndarray,
     s_centered: np.ndarray,
+    ds: np.ndarray,
     sigma2: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive-score rows and the Jacobian of their mean, given ds = d score / d beta."""
     # Slope rows pair the centered score with the centered regressor. The
     # centering changes nothing about the solved equations (both centerings
     # expand to mean(x_j shat) - xbar_j * mean(shat) = 0), but it makes the
     # per-observation rows a proper estimating function for the sandwich: the
     # adaptive score is invariant to intercept shifts, so the slope rows must
     # carry no intercept coupling and their outer products must scale with the
-    # centered regressor moments, or the covariance is inconsistent.
+    # centered regressor moments, or the covariance is inconsistent. For the
+    # same reason the score's centering constant drops out of the Jacobian.
     X = design.values
-    psi = np.empty((X.shape[0], design.p + 1))
+    n, p = X.shape
+    psi = np.empty((n, p + 1))
     psi[:, 0] = e
     x_centered = X[:, 1:] - X[:, 1:].mean(axis=0)
-    psi[:, 1 : design.p] = x_centered * s_centered[:, None]
-    psi[:, design.p] = e * e - sigma2
-    return psi
+    psi[:, 1:p] = x_centered * s_centered[:, None]
+    psi[:, p] = e * e - sigma2
+    J = np.zeros((p + 1, p + 1))
+    J[0, :p] = -X.mean(axis=0)
+    J[1:p, :p] = x_centered.T @ ds / n
+    J[p, :p] = -2.0 * (e @ X) / n
+    J[p, p] = -1.0
+    return psi, J
 
 
 def semiparam_psi(
@@ -315,15 +364,19 @@ def semiparam_psi(
     response: np.ndarray,
     point: ParameterPoint,
     bandwidth: float | None = None,
-) -> np.ndarray:
-    """Adaptive-score estimating-function rows at one parameter point.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive-score estimating-function rows at one parameter point, with the
+    exact Jacobian of their mean.
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
     rows (x_ij - xbar_j) times the centered score, variance row e_i^2 - sigma2.
     Each observation's own kernel is left out of its score evaluation; keeping
     it shrinks the in-sample scores and steepens their derivative, which biases
-    the downstream sandwich.
+    the downstream sandwich. The Jacobian differentiates the re-estimated
+    score, Silverman bandwidth included
+    (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)), and comes from the same
+    kernel pass as the rows.
     """
     if point.sigma2 <= 0.0:
         raise EstimationError("sigma2 must be positive")
@@ -334,9 +387,15 @@ def semiparam_psi(
         raise EstimationError(f"need at least 10 residuals for score estimation (got {e.size})")
     if not np.all(np.isfinite(e)):
         raise EstimationError("residuals contain non-finite values")
-    h = silverman_bandwidth(e) if bandwidth is None else float(bandwidth)
-    s = _score_values(e, e, h, exclude_self=True)
-    return _assemble_score_psi(design, e, s - s.mean(), point.sigma2)
+    if bandwidth is None:
+        h = silverman_bandwidth(e)
+        dev = e - e.mean()
+        dh = -h * (dev @ X) / (dev @ dev)
+    else:
+        h = float(bandwidth)
+        dh = np.zeros(design.p)
+    s, ds = _kernel_score(e, e, h, leave_one_out=True, X=X, dh=dh)
+    return _score_psi_and_jacobian(design, e, s - s.mean(), ds, point.sigma2)
 
 
 def frozen_score_psi_and_jacobian(
@@ -348,45 +407,36 @@ def frozen_score_psi_and_jacobian(
 
     The kernel score function (data points, bandwidth, centering constant) is
     frozen at the root's residuals; only the evaluation points move with the
-    parameter. Differentiating this function, rather than re-estimating the
-    score inside the difference quotient, is what makes the sandwich
-    A^-1 B A^-T consistent for the estimator's variance: the adaptive score
-    estimate is first-order ignorable, while re-estimation inside A cancels
-    part of the derivative and inflates the variance roughly twofold. At the
-    root the evaluation points are the data points, so the one kernel pass
-    that gives the centering constant also gives the rows.
+    parameter. Differentiating this function, rather than the re-estimated
+    score, is what makes the sandwich A^-1 B A^-T consistent for the
+    estimator's variance: the adaptive score estimate is first-order
+    ignorable, while re-estimation inside A cancels part of the derivative and
+    inflates the variance roughly twofold. At the root the evaluation points
+    are the data points, so one kernel pass gives the centering constant, the
+    rows and, from S0, S1 and S2, the closed-form A.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
-    root_resid = y - X @ root.beta
-    h0 = silverman_bandwidth(root_resid)
-    root_score = _score_values(root_resid, root_resid, h0, exclude_self=True)
-    center = float(root_score.mean())
-
-    def mean_psi(v: np.ndarray) -> np.ndarray:
-        point = ParameterPoint.from_vector(v)
-        e = y - X @ point.beta
-        s = _score_values(root_resid, e, h0, exclude_self=True) - center
-        return _assemble_score_psi(design, e, s, point.sigma2).mean(axis=0)
-
-    psi = _assemble_score_psi(design, root_resid, root_score - center, root.sigma2)
-    return psi, mean_psi_jacobian(mean_psi, root.as_vector())
+    e = y - X @ root.beta
+    s, ds = _kernel_score(e, e, silverman_bandwidth(e), leave_one_out=True, X=X)
+    return _score_psi_and_jacobian(design, e, s - s.mean(), ds, root.sigma2)
 
 
 def newton_root(
-    F: Callable[[np.ndarray], np.ndarray],
+    F: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0: np.ndarray,
     max_iterations: int = MAX_NEWTON_ITERATIONS,
 ) -> NewtonResult:
-    """Damped Newton iteration with a forward-difference Jacobian.
+    """Damped Newton iteration; ``F(x)`` returns the function value and its Jacobian.
 
     Success means the sup-norm of F drops below 1e-8 or the damped step norm
     below 1e-10; each step is halved up to 10 times seeking a decrease in
-    ||F||_inf, and a singular numerical Jacobian or non-finite values end the
-    run as a failure.
+    ||F||_inf, and the Jacobian evaluated with the accepted trial point serves
+    the next step. A singular Jacobian or non-finite values end the run as a
+    failure.
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx = np.asarray(F(x), dtype=float)
+    fx, J = F(x)
     if not np.all(np.isfinite(fx)):
         return NewtonResult(x, 0, float("inf"), False, "non-finite function value at start")
     norm = float(np.max(np.abs(fx)))
@@ -395,12 +445,6 @@ def newton_root(
         if norm < NEWTON_RESIDUAL_TOL:
             return NewtonResult(x, iteration - 1, norm, True)
 
-        J = np.empty((fx.size, x.size))
-        for j in range(x.size):
-            step = FD_STEP_REL * max(1.0, abs(x[j]))
-            xj = x.copy()
-            xj[j] += step
-            J[:, j] = (F(xj) - fx) / step
         if not np.all(np.isfinite(J)):
             return NewtonResult(x, iteration, norm, False, "non-finite jacobian")
         try:
@@ -415,18 +459,18 @@ def newton_root(
         # or the iteration cap ends the run.
         t = 1.0
         x_new = x + dx
-        f_new = np.asarray(F(x_new), dtype=float)
+        f_new, J_new = F(x_new)
         for _ in range(MAX_STEP_HALVINGS):
             if np.all(np.isfinite(f_new)) and float(np.max(np.abs(f_new))) < norm:
                 break
             t /= 2.0
             x_new = x + t * dx
-            f_new = np.asarray(F(x_new), dtype=float)
+            f_new, J_new = F(x_new)
         if not np.all(np.isfinite(f_new)):
             return NewtonResult(x, iteration, norm, False, "non-finite function value")
 
         step_norm = float(np.linalg.norm(t * dx))
-        x, fx = x_new, f_new
+        x, fx, J = x_new, f_new, J_new
         norm = float(np.max(np.abs(fx)))
         if norm < NEWTON_RESIDUAL_TOL:
             return NewtonResult(x, iteration, norm, True)
@@ -488,6 +532,7 @@ def fit_semiparametric(
     design: DesignMatrix,
     response: np.ndarray,
     rule: ScreeningRule = ScreeningRule(),
+    ols: RegressionFit | None = None,
 ) -> RegressionFit | FitFailure:
     """Multi-start solve of the adaptive score equations for one regression.
 
@@ -495,22 +540,28 @@ def fit_semiparametric(
     passes the condition-number and plausibility screens is returned with its
     sandwich covariance. If none survives, a :class:`FitFailure` records one
     reason per start. Requires n >= p + 10 so the residual score estimate has
-    something to work with.
+    something to work with. ``ols`` is the least-squares fit of the same
+    design and response that seeds the starts and the screens; it is fitted
+    here when not given.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
     n, p = X.shape
     if n < p + 10:
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
-    ols = fit_ols(design, y)
+    if ols is None:
+        ols = fit_ols(design, y)
+    elif ols.method != "ols" or ols.design.values.shape != X.shape:
+        raise EstimationError("ols must be the least-squares fit of the same design")
     starts = make_starts(ols)
     dim = p + 1
 
-    def mean_psi(v: np.ndarray) -> np.ndarray:
+    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         try:
-            return semiparam_psi(design, y, ParameterPoint.from_vector(v)).mean(axis=0)
+            psi, J = semiparam_psi(design, y, ParameterPoint.from_vector(v))
         except EstimationError:
-            return np.full(dim, np.nan)
+            return np.full(dim, np.nan), np.full((dim, dim), np.nan)
+        return psi.mean(axis=0), J
 
     reasons: list[str] = []
     for idx, start in enumerate(starts.starts):
@@ -534,7 +585,8 @@ def fit_semiparametric(
             cov = sandwich_covariance(A, B, n)
         accepted, reason = screen_root(point, cov, rcond, ols, rule)
         if accepted:
-            assert cov is not None
+            if cov is None:
+                raise RuntimeError(f"start {idx}: root accepted without a sandwich covariance")
             diag = FitDiagnostics(
                 start_index_used=idx,
                 iterations=result.iterations,

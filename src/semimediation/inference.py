@@ -378,13 +378,20 @@ def mediate(
     )
 
     results: dict[str, MethodResult] = {}
+    # Least-squares fits, kept to seed the semiparametric starts and screens.
+    med_ols: RegressionFit | None = None
+    out_ols: RegressionFit | None = None
     for m in wanted:
         if m == METHOD_OLS:
-            med_fit: RegressionFit | FitFailure = fit_ols(med_design, med_y)
-            out_fit: RegressionFit | FitFailure | None = fit_ols(out_design, out_y)
+            med_ols = fit_ols(med_design, med_y)
+            out_ols = fit_ols(out_design, out_y)
+            med_fit: RegressionFit | FitFailure = med_ols
+            out_fit: RegressionFit | FitFailure | None = out_ols
         else:
-            med_fit = fit_semiparametric(med_design, med_y)
-            out_fit = fit_semiparametric(out_design, out_y) if isinstance(med_fit, RegressionFit) else None
+            med_fit = fit_semiparametric(med_design, med_y, ols=med_ols)
+            out_fit = (
+                fit_semiparametric(out_design, out_y, ols=out_ols) if isinstance(med_fit, RegressionFit) else None
+            )
 
         if isinstance(med_fit, RegressionFit) and isinstance(out_fit, RegressionFit):
             stacked = stack_fits(med_fit, out_fit)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimediation import estimators
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
 from semimediation.estimators import (
     EstimationError,
@@ -15,11 +16,13 @@ from semimediation.estimators import (
     estimate_score,
     fit_ols,
     fit_semiparametric,
+    frozen_score_psi_and_jacobian,
     make_starts,
     newton_root,
     screen_root,
     semiparam_psi,
 )
+from semimediation.simulation import ASYMMETRIC_MIXTURE, ERROR_LAWS, ErrorSpec, sample_error
 
 
 def simple_design(x, y):
@@ -142,7 +145,7 @@ class TestSemiparamPsi:
         y = 0.3 + t + rng.standard_normal(60)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        psi = semiparam_psi(design, resp, ols.params)
+        psi, _ = semiparam_psi(design, resp, ols.params)
         assert abs(psi[:, 0].mean()) < 1e-10
 
     def test_fixed_bandwidth_matches_direct_oracle(self):
@@ -153,7 +156,7 @@ class TestSemiparamPsi:
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M"))
         point = ParameterPoint(np.array([0.05, 0.3, 0.4]), 0.2)
         h = 0.5
-        psi = semiparam_psi(design, y, point, bandwidth=h)
+        psi, _ = semiparam_psi(design, y, point, bandwidth=h)
 
         # oracle: direct per-point kernel sums, own point left out
         X = design.values
@@ -205,29 +208,54 @@ class TestSemiparamPsi:
 
 class TestNewtonRoot:
     def test_affine_in_one_iteration(self):
-        res = newton_root(lambda x: np.array([x[0] - 3.0]), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([x[0] - 3.0]), np.array([[1.0]])), np.array([0.0]))
         assert res.converged
         assert res.iterations == 1
         assert res.root[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_two_dimensional_closed_form_root(self):
-        res = newton_root(lambda x: np.array([x[0] ** 2 - 4.0, x[1] - 1.0]), np.array([1.0, 0.0]))
+        def F(x):
+            return np.array([x[0] ** 2 - 4.0, x[1] - 1.0]), np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])
+
+        res = newton_root(F, np.array([1.0, 0.0]))
         assert res.converged
         assert np.allclose(res.root, [2.0, 1.0], atol=1e-7)
 
     def test_constant_function_fails(self):
-        res = newton_root(lambda x: np.array([1.0]), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([1.0]), np.array([[0.0]])), np.array([0.0]))
         assert not res.converged
         assert res.reason == "singular jacobian"
 
     def test_non_finite_start_fails(self):
-        res = newton_root(lambda x: np.array([math.nan]), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([math.nan]), np.array([[1.0]])), np.array([0.0]))
         assert not res.converged
 
+    def test_non_finite_jacobian_fails(self):
+        res = newton_root(lambda x: (np.array([x[0] - 1.0]), np.array([[math.nan]])), np.array([0.0]))
+        assert not res.converged
+        assert res.reason == "non-finite jacobian"
+
     def test_iteration_cap(self):
-        # root at 0 approached arbitrarily slowly: cube root steps overshoot
-        res = newton_root(lambda x: np.array([np.sign(x[0]) * np.sqrt(abs(x[0]))]), np.array([1.0]), max_iterations=5)
-        assert res.iterations <= 5
+        # double root at 0: Newton only halves x each step
+        res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])), np.array([1.0]), max_iterations=5)
+        assert not res.converged
+        assert res.reason == "maximum iterations reached"
+        assert res.iterations == 5
+        assert res.root[0] == pytest.approx(1 / 32)
+
+    def test_accepted_trial_jacobian_is_reused(self):
+        # One evaluation per trial point: the Jacobian of the accepted trial
+        # point drives the next step, nothing is re-evaluated for it.
+        points = []
+
+        def F(x):
+            points.append(float(x[0]))
+            return np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]])
+
+        res = newton_root(F, np.array([3.0]))
+        assert res.converged
+        assert res.root[0] == pytest.approx(2.0, abs=1e-8)
+        assert len(points) == len(set(points))
 
 
 class TestMakeStarts:
@@ -401,6 +429,36 @@ class TestFitSemiparametric:
         assert np.array_equal(a.cov, b.cov)
         assert a.diagnostics == b.diagnostics
 
+    def test_given_ols_fit_is_used_as_is(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        n = 150
+        t = (rng.random(n) < 0.5).astype(float)
+        y = t + rng.laplace(size=n)
+        design, resp = simple_design(t, y)
+        ols = fit_ols(design, resp)
+        own = fit_semiparametric(design, resp)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("fit_ols called although an OLS fit was given")
+
+        monkeypatch.setattr(estimators, "fit_ols", no_refit)
+        reused = fit_semiparametric(design, resp, ols=ols)
+        assert np.array_equal(reused.params.beta, own.params.beta)
+        assert reused.params.sigma2 == own.params.sigma2
+        assert np.array_equal(reused.cov, own.cov)
+        assert reused.diagnostics == own.diagnostics
+
+    def test_ols_fit_of_another_design_rejected(self):
+        rng = np.random.default_rng(14)
+        t = (rng.random(40) < 0.5).astype(float)
+        x1 = rng.standard_normal(40)
+        y = t + rng.standard_normal(40)
+        design, resp = simple_design(t, y)
+        ds = dataset_from_arrays(T=t, X1=x1, Y=y)
+        wider = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=("X1",)))
+        with pytest.raises(EstimationError, match="least-squares fit of the same design"):
+            fit_semiparametric(design, resp, ols=fit_ols(wider, y))
+
     def test_too_small_sample_rejected(self):
         t = np.array([0.0, 1.0] * 5)
         y = np.arange(10.0)
@@ -408,3 +466,177 @@ class TestFitSemiparametric:
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         with pytest.raises(EstimationError, match="p \\+ 10"):
             fit_semiparametric(design, y)
+
+
+def central_diff(fn, x, step_rel=1e-5):
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        step = step_rel * max(1.0, abs(x[j]))
+        hi, lo = x.copy(), x.copy()
+        hi[j] += step
+        lo[j] -= step
+        cols.append((fn(hi) - fn(lo)) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def rel_err(J, oracle):
+    return float(np.max(np.abs(J - oracle)) / np.max(np.abs(oracle)))
+
+
+def law_design(law, seed, n=120):
+    """Interaction outcome design (intercept, T, M, TM) with errors from one law."""
+    rng = np.random.default_rng(seed)
+    t = (rng.random(n) < 0.5).astype(float)
+    m = 0.2 + 0.4 * t + sample_error(ErrorSpec(law), rng, n)
+    y = 0.5 * t - 0.8 * m + t * m + sample_error(ErrorSpec(law), rng, n)
+    ds = dataset_from_arrays(T=t, M=m, Y=y)
+    spec = ModelSpec(response="Y", treatment="T", mediator="M", interaction=True)
+    return build_design(ds, spec), y
+
+
+def design_with_residuals(e, seed):
+    """Design (intercept, T, X1) and response whose residuals at the returned point are e."""
+    rng = np.random.default_rng(seed)
+    n = e.size
+    t = (np.arange(n) % 2).astype(float)
+    x1 = rng.standard_normal(n)
+    design = build_design(dataset_from_arrays(T=t, X1=x1, Y=e), ModelSpec(response="Y", treatment="T", covariates=("X1",)))
+    point = ParameterPoint(np.array([0.3, -0.2, 0.5]), 1.0)
+    return design, design.values @ point.beta + e, point
+
+
+def loo_kernel_branches(e, h):
+    """(clamped, clipped) counts of the leave-one-out kernel score at the data points."""
+    u = (e[:, None] - e[None, :]) / h
+    K = np.exp(-0.5 * u * u)
+    np.fill_diagonal(K, 0.0)
+    S0, S1 = K.sum(axis=1), (u * K).sum(axis=1)
+    ok = S0 >= 1e-3 * S0.max()
+    return int((~ok).sum()), int((np.abs(S1[ok] / S0[ok]) > 10.0).sum())
+
+
+def frozen_mean_psi_oracle(design, y, root):
+    """Mean adaptive-score rows with the score function frozen at ``root``, written out directly."""
+    X = design.values
+    n = y.size
+    r = y - X @ root.beta
+    h = 1.06 * np.std(r, ddof=1) * n ** (-0.2)
+
+    def score(pts):
+        u = (pts[:, None] - r[None, :]) / h
+        K = np.exp(-0.5 * u * u)
+        np.fill_diagonal(K, 0.0)  # index-paired self terms
+        S0, S1 = K.sum(axis=1), (u * K).sum(axis=1)
+        ok = S0 >= 1e-3 * S0.max()
+        s = np.where(ok, -S1 / (h * np.where(ok, S0, 1.0)), 0.0)
+        for i in np.flatnonzero(~ok):
+            good = np.flatnonzero(ok)
+            s[i] = s[good[np.argmin(np.abs(pts[good] - pts[i]))]]
+        return np.clip(s, -10.0 / h, 10.0 / h)
+
+    center = score(r).mean()
+    xc = X[:, 1:] - X[:, 1:].mean(axis=0)
+
+    def mean_psi(v):
+        e = y - X @ v[:-1]
+        s = score(e) - center
+        return np.concatenate([[e.mean()], (xc * s[:, None]).mean(axis=0), [(e * e - v[-1]).mean()]])
+
+    return mean_psi
+
+
+class TestExactJacobians:
+    """Closed-form Jacobians against central differences."""
+
+    @staticmethod
+    def newton_oracle(design, y, point, bandwidth=None, step_rel=1e-5):
+        return central_diff(
+            lambda v: semiparam_psi(design, y, ParameterPoint.from_vector(v), bandwidth)[0].mean(axis=0),
+            point.as_vector(),
+            step_rel,
+        )
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    @pytest.mark.parametrize("bandwidth", [None, 0.4])
+    def test_newton_jacobian_matches_central_differences(self, law, bandwidth):
+        for seed in range(3):
+            design, y = law_design(law, seed)
+            ols = fit_ols(design, y)
+            point = ParameterPoint(ols.params.beta + 0.05, 1.2 * ols.params.sigma2)
+            _, J = semiparam_psi(design, y, point, bandwidth)
+            assert rel_err(J, self.newton_oracle(design, y, point, bandwidth)) <= 1e-6
+
+    def test_newton_jacobian_with_outlier_clamps(self):
+        rng = np.random.default_rng(5)
+        e = np.append(rng.standard_normal(80), 12.0)
+        design, y, point = design_with_residuals(e, 5)
+        h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
+        assert loo_kernel_branches(e, h)[0] > 0
+        _, J = semiparam_psi(design, y, point)
+        assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
+
+    def test_newton_jacobian_with_clipped_and_clamped_points(self):
+        # Residuals 11 bandwidths apart: the end points' scores exceed the clip
+        # bound, and the outlier 15 bandwidths out falls below the density floor.
+        # The kernel varies on a scale of h / 11 here, so the oracle's steps are
+        # ten times smaller than elsewhere.
+        h = 0.1
+        rng = np.random.default_rng(6)
+        e = rng.permutation(np.append(1.1 * np.arange(12.0), 1.1 * 11 + 1.5))
+        design, y, point = design_with_residuals(e, 6)
+        clamped, clipped = loo_kernel_branches(e, h)
+        assert clamped > 0 and clipped > 0
+        _, J = semiparam_psi(design, y, point, bandwidth=h)
+        assert rel_err(J, self.newton_oracle(design, y, point, h, step_rel=1e-6)) <= 1e-6
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    def test_frozen_jacobian_matches_oracle(self, law):
+        design, y = law_design(law, 1)
+        fit = fit_semiparametric(design, y)
+        assert isinstance(fit, RegressionFit)
+        oracle = central_diff(frozen_mean_psi_oracle(design, y, fit.params), fit.params.as_vector())
+        assert rel_err(fit.jacobian_A, oracle) <= 1e-6
+
+    def test_frozen_jacobian_with_outlier_clamps(self):
+        rng = np.random.default_rng(7)
+        e = np.append(rng.standard_normal(80), -12.0)
+        design, y, point = design_with_residuals(e, 7)
+        h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
+        assert loo_kernel_branches(e, h)[0] > 0
+        _, A = frozen_score_psi_and_jacobian(design, y, point)
+        oracle = central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())
+        assert rel_err(A, oracle) <= 1e-6
+
+    def test_ols_jacobian_matches_oracle(self):
+        design, y = law_design(ASYMMETRIC_MIXTURE, 2)
+        fit = fit_ols(design, y)
+        X = design.values
+
+        def mean_rows(v):
+            e = y - X @ v[:-1]
+            return np.append((X * e[:, None]).mean(axis=0), (e * e - v[-1]).mean())
+
+        assert rel_err(fit.jacobian_A, central_diff(mean_rows, fit.params.as_vector())) <= 1e-8
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 60),
+        covariates=st.integers(0, 2),
+        law=st.sampled_from(ERROR_LAWS),
+        shift=st.floats(-0.3, 0.3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_designs(self, seed, n, covariates, law, shift):
+        rng = np.random.default_rng(seed)
+        cols = {f"X{k}": rng.standard_normal(n) for k in range(covariates)}
+        t = (rng.random(n) < 0.5).astype(float)
+        y = 0.3 * t + sum(cols.values(), np.zeros(n)) + sample_error(ErrorSpec(law), rng, n)
+        ds = dataset_from_arrays(T=t, Y=y, **cols)
+        design = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=tuple(cols)))
+        ols = fit_ols(design, y)
+        point = ParameterPoint(ols.params.beta + shift, ols.params.sigma2)
+        _, J = semiparam_psi(design, y, point)
+        assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-5
+        _, A = frozen_score_psi_and_jacobian(design, y, point)
+        assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())) <= 1e-5

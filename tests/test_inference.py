@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimediation import estimators
+from semimediation import estimators, inference
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
 from semimediation.estimators import fit_ols, fit_semiparametric, sandwich_covariance
 from semimediation.inference import (
@@ -181,21 +181,21 @@ class TestSandwichAndStacking:
             assert np.all(st_fit.A[d1:, :d1] == 0.0)
 
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
-        # Each accepted fit makes one kernel-score pass per Newton evaluation,
-        # one at the root (centering constant and psi rows together) and two
-        # per parameter for the central-difference A; stacking makes none.
+        # Each accepted fit makes one kernel-score pass per Newton evaluation
+        # and one at the root, which gives the centering constant, the psi rows
+        # and the closed-form A together; stacking makes none.
         calls = {"passes": 0, "psi": 0}
-        score_values, semiparam_psi = estimators._score_values, estimators.semiparam_psi
+        kernel_score, semiparam_psi = estimators._kernel_score, estimators.semiparam_psi
 
-        def counting_score_values(*args, **kwargs):
+        def counting_kernel_score(*args, **kwargs):
             calls["passes"] += 1
-            return score_values(*args, **kwargs)
+            return kernel_score(*args, **kwargs)
 
         def counting_semiparam_psi(*args, **kwargs):
             calls["psi"] += 1
             return semiparam_psi(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "_score_values", counting_score_values)
+        monkeypatch.setattr(estimators, "_kernel_score", counting_kernel_score)
         monkeypatch.setattr(estimators, "semiparam_psi", counting_semiparam_psi)
         data = laplace_mediation_data
         fits = []
@@ -203,7 +203,9 @@ class TestSandwichAndStacking:
             calls.update(passes=0, psi=0)
             fit = fit_semiparametric(build_design(data, spec), data.column(spec.response))
             assert fit.diagnostics.start_index_used == 0
-            assert calls["passes"] - calls["psi"] == 1 + 2 * (fit.design.p + 1)
+            assert calls["passes"] - calls["psi"] == 1
+            # at least one evaluation per iteration plus the start
+            assert calls["psi"] >= fit.diagnostics.iterations + 1
             fits.append(fit)
         calls.update(passes=0, psi=0)
         stack_fits(*fits)
@@ -290,6 +292,25 @@ class TestMediate:
             eff = res.effects(method)
             assert eff.names == ("ACME(0)", "ACME(1)", "ADE(0)", "ADE(1)", "ATE")
             assert np.all(eff.ci_lower <= eff.values) and np.all(eff.values <= eff.ci_upper)
+
+    def test_each_model_fitted_by_least_squares_once(self, laplace_mediation_data, monkeypatch):
+        # The semiparametric fits start from the OLS fits mediate already holds.
+        calls = []
+        real_fit_ols = estimators.fit_ols
+
+        def counting_fit_ols(design, response):
+            calls.append(design.p)
+            return real_fit_ols(design, response)
+
+        monkeypatch.setattr(inference, "fit_ols", counting_fit_ols)
+        monkeypatch.setattr(estimators, "fit_ols", counting_fit_ols)
+        res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
+        assert sorted(calls) == [3, 5]
+        assert res.methods["semiparametric"].mediator_fit.method == "semiparametric"
+        assert res.methods["semiparametric"].outcome_fit.method == "semiparametric"
+        calls.clear()
+        mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="semiparametric")
+        assert sorted(calls) == [3, 5]
 
     def test_decomposition_identity(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
