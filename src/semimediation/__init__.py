@@ -13,10 +13,8 @@ from .estimators import (
     FitFailure,
     ParameterPoint,
     RegressionFit,
-    ScoreEstimate,
     ScreeningRule,
     StartSet,
-    estimate_score,
     fit_ols,
     fit_semiparametric,
     make_starts,
@@ -62,10 +60,8 @@ __all__ = [
     "FitFailure",
     "ParameterPoint",
     "RegressionFit",
-    "ScoreEstimate",
     "ScreeningRule",
     "StartSet",
-    "estimate_score",
     "fit_ols",
     "fit_semiparametric",
     "make_starts",

@@ -13,10 +13,12 @@ Two fitting routes share a single estimating-function interface:
 Both return per-observation estimating-function values, the averaged Jacobian
 ``A`` and the sandwich covariance ``A^-1 B A^-T / n``. Every Jacobian is exact
 and closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``,
-and one Gaussian-kernel pass gives the score together with its derivative as
-moment sums, for Newton (score re-estimated) and for ``A`` (score frozen at the
-root). Downstream inference stacks the fits' ``psi_values`` and ``jacobian_A``
-across the mediator and outcome models without re-evaluating either.
+and one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
+Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
+sums. The fit takes rows and ``A`` from Newton's last evaluation, which is at
+the root, so no kernel pass follows the solve. Downstream inference stacks the
+fits' ``psi_values`` and ``jacobian_A`` across the mediator and outcome models
+without re-evaluating either.
 """
 
 from __future__ import annotations
@@ -103,21 +105,6 @@ class FitFailure:
 
     method: str
     reasons: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ScoreEstimate:
-    """Kernel estimate of the residual log-density derivative f'/f.
-
-    Values are clamped to the score at the nearest adequately-dense point
-    wherever the density estimate falls below its relative floor, then clipped
-    to ``clip_bound`` in absolute value.
-    """
-
-    eval_points: np.ndarray
-    score_values: np.ndarray
-    bandwidth: float
-    clip_bound: float
 
 
 @dataclass(frozen=True)
@@ -211,39 +198,40 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
 
 
 def _kernel_score(
-    r: np.ndarray,
-    pts: np.ndarray,
+    e: np.ndarray,
     h: float,
-    leave_one_out: bool,
-    X: np.ndarray | None = None,
-    dh: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Clamped, clipped kernel score at ``pts`` and, given a design, its beta-derivative.
+    X: np.ndarray,
+    dh: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leave-one-out kernel score of the residuals at themselves, and its two beta-derivatives.
 
-    One pass over K_ik = exp(-u_ik^2 / 2), u_ik = (pts_i - r_k) / h, with the
-    index-paired terms K_ii dropped under ``leave_one_out``. With the row sums
-    S_j = sum_k u^j K the score is f'/f = -S1 / (h S0); the kernel's
-    1/(n h sqrt(2 pi)) factor cancels both here and in the relative density
-    floor.
+    One pass over K_ik = exp(-u_ik^2 / 2), u_ik = (e_i - e_k) / h, with the
+    diagonal K_ii dropped (leave-one-out). With the row sums S_j = sum_k u^j K
+    the score is f'/f = -S1 / (h S0); the kernel's 1/(n h sqrt(2 pi)) factor
+    cancels both here and in the relative density floor. Points below the
+    floor copy the score of the nearest dense point, and every score is
+    clipped to 10 / h.
 
-    Given the design ``X`` of the residuals pts = r = y - X beta (so
-    d pts_i / d beta = -x_i), the same pass returns ds = d score / d beta,
-    n x p. With ``dh`` None the score function is frozen: data points,
-    bandwidth and clip bound stay put and only the evaluation points move,
-    which needs S2 alone. Otherwise the score is re-estimated: the data points
-    move too, adding the products K X, (u K) X and (u^2 K) X, and the bandwidth
-    moves by ``dh`` (zeros for a fixed one), adding S2 and S3. Clamped points
-    take the derivative of the point whose score they copy; clipped points
-    hold -s dh / h, the derivative of the clip bound.
+    The residuals are e = y - X beta, so d e_i / d beta = -x_i, and the same
+    pass gives two n x p derivatives d score / d beta:
+
+    * ``ds_newton``, the score re-estimated: data points move with the
+      evaluation points, adding the products K X, (u K) X and (u^2 K) X, and
+      the bandwidth moves by ``dh`` (zeros for a fixed one), adding S2 and S3.
+      Clipped points hold -s dh / h, the derivative of the clip bound.
+    * ``ds_frozen``, the score function frozen: data points, bandwidth and
+      clip bound stay put and only the evaluation points move, which needs S2
+      alone. Clipped points hold 0.
+
+    Clamped points take the derivative of the point whose score they copy.
     """
     # In place where possible: three n x n arrays (u, K, W) are live at most.
-    u = np.subtract.outer(pts, r)
+    u = np.subtract.outer(e, e)
     u /= h
     K = u * u
     K *= -0.5
     np.exp(K, out=K)
-    if leave_one_out:
-        np.fill_diagonal(K, 0.0)
+    np.fill_diagonal(K, 0.0)
     W = u * K
     S0 = K.sum(axis=1)
     S1 = W.sum(axis=1)
@@ -252,45 +240,43 @@ def _kernel_score(
     ok = S0 >= floor
     if floor <= 0.0 or not ok.any():
         raise EstimationError("degenerate density estimate")
-    raw = np.zeros_like(pts)
+    raw = np.zeros_like(e)
     np.divide(-S1 / h, S0, out=raw, where=ok)
     # Each point reads its score from src: itself, or the nearest dense point.
-    src = np.arange(pts.size)
+    src = np.arange(e.size)
     if not ok.all():
         bad = np.flatnonzero(~ok)
         good = np.flatnonzero(ok)
-        src[bad] = good[np.abs(pts[bad][:, None] - pts[good][None, :]).argmin(axis=1)]
+        src[bad] = good[np.abs(e[bad][:, None] - e[good][None, :]).argmin(axis=1)]
     clip = SCORE_CLIP_OVER_H / h
     score = np.clip(raw[src], -clip, clip)
-    if X is None:
-        return score, None
 
-    if dh is None:
-        W *= u
-        S2 = W.sum(axis=1)
-        dS0 = X * (S1 / h)[:, None]
-        dS1 = X * (-(S0 - S2) / h)[:, None]
-    else:
-        KX = K @ X
-        UX = W @ X
-        W *= u
-        S2 = W.sum(axis=1)
-        U2X = W @ X
-        W *= u
-        S3 = W.sum(axis=1)
-        dS0 = (X * S1[:, None] - UX + np.outer(S2, dh)) / h
-        dS1 = -(X * (S0 - S2)[:, None] - KX + U2X + np.outer(S1 - S3, dh)) / h
+    KX = K @ X
+    UX = W @ X
+    W *= u
+    S2 = W.sum(axis=1)
+    U2X = W @ X
+    W *= u
+    S3 = W.sum(axis=1)
     inv = np.zeros_like(S0)
     np.divide(1.0, S0, out=inv, where=ok)
     # score = -q / h with q = S1 / S0, so dscore = -dq / h - score dh / h.
     q = S1 * inv
-    draw = -(dS1 - q[:, None] * dS0) * (inv / h)[:, None]
-    if dh is not None:
-        draw -= np.outer(raw, dh) / h
-    ds = draw[src]
     clipped = np.abs(raw[src]) > clip
-    ds[clipped] = 0.0 if dh is None else -np.outer(score[clipped], dh) / h
-    return score, ds
+
+    dS0 = (X * S1[:, None] - UX + np.outer(S2, dh)) / h
+    dS1 = -(X * (S0 - S2)[:, None] - KX + U2X + np.outer(S1 - S3, dh)) / h
+    draw = -(dS1 - q[:, None] * dS0) * (inv / h)[:, None]
+    draw -= np.outer(raw, dh) / h
+    ds_newton = draw[src]
+    ds_newton[clipped] = -np.outer(score[clipped], dh) / h
+
+    dS0 = X * (S1 / h)[:, None]
+    dS1 = X * (-(S0 - S2) / h)[:, None]
+    draw = -(dS1 - q[:, None] * dS0) * (inv / h)[:, None]
+    ds_frozen = draw[src]
+    ds_frozen[clipped] = 0.0
+    return score, ds_newton, ds_frozen
 
 
 def silverman_bandwidth(residuals: np.ndarray) -> float:
@@ -300,83 +286,30 @@ def silverman_bandwidth(residuals: np.ndarray) -> float:
     return 1.06 * sd * residuals.size ** (-0.2)
 
 
-def estimate_score(
-    residuals: np.ndarray,
-    eval_points: np.ndarray,
-    bandwidth: float | None = None,
-) -> ScoreEstimate:
-    """Estimate the residual log-density derivative f'/f by Gaussian-kernel KDE.
-
-    The bandwidth defaults to Silverman's 1.06 * sd * n^(-1/5). Evaluation
-    points where the density estimate is below 1e-3 of its maximum inherit the
-    score of the nearest adequately-dense point, and the result is clipped to
-    |score| <= 10 / bandwidth, preventing tail blow-ups from derailing the
-    Newton steps that consume these values.
-    """
-    r = np.asarray(residuals, dtype=float)
-    pts = np.asarray(eval_points, dtype=float)
-    if r.size < 10:
-        raise EstimationError(f"need at least 10 residuals for score estimation (got {r.size})")
-    if not np.all(np.isfinite(r)):
-        raise EstimationError("residuals contain non-finite values")
-    if bandwidth is None:
-        h = silverman_bandwidth(r)
-    else:
-        h = float(bandwidth)
-        if h <= 0.0:
-            raise EstimationError("bandwidth must be positive")
-    return ScoreEstimate(pts, _kernel_score(r, pts, h, leave_one_out=False)[0], h, SCORE_CLIP_OVER_H / h)
-
-
-def _score_psi_and_jacobian(
-    design: DesignMatrix,
-    e: np.ndarray,
-    s_centered: np.ndarray,
-    ds: np.ndarray,
-    sigma2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive-score rows and the Jacobian of their mean, given ds = d score / d beta."""
-    # Slope rows pair the centered score with the centered regressor. The
-    # centering changes nothing about the solved equations (both centerings
-    # expand to mean(x_j shat) - xbar_j * mean(shat) = 0), but it makes the
-    # per-observation rows a proper estimating function for the sandwich: the
-    # adaptive score is invariant to intercept shifts, so the slope rows must
-    # carry no intercept coupling and their outer products must scale with the
-    # centered regressor moments, or the covariance is inconsistent. For the
-    # same reason the score's centering constant drops out of the Jacobian.
-    X = design.values
-    n, p = X.shape
-    psi = np.empty((n, p + 1))
-    psi[:, 0] = e
-    x_centered = X[:, 1:] - X[:, 1:].mean(axis=0)
-    psi[:, 1:p] = x_centered * s_centered[:, None]
-    psi[:, p] = e * e - sigma2
-    J = np.zeros((p + 1, p + 1))
-    J[0, :p] = -X.mean(axis=0)
-    J[1:p, :p] = x_centered.T @ ds / n
-    J[p, :p] = -2.0 * (e @ X) / n
-    J[p, p] = -1.0
-    return psi, J
-
-
 def semiparam_psi(
     design: DesignMatrix,
     response: np.ndarray,
     point: ParameterPoint,
-    bandwidth: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive-score estimating-function rows at one parameter point, with the
-    exact Jacobian of their mean.
+    Jacobians of their mean for Newton (J) and for the sandwich (A).
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
     rows (x_ij - xbar_j) times the centered score, variance row e_i^2 - sigma2.
     Each observation's own kernel is left out of its score evaluation; keeping
     it shrinks the in-sample scores and steepens their derivative, which biases
-    the downstream sandwich. The Jacobian differentiates the re-estimated
-    score, Silverman bandwidth included
-    (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)), and comes from the same
-    kernel pass as the rows.
+    the downstream sandwich. The bandwidth is Silverman's, 1.06 sd n^(-1/5).
+
+    ``J`` differentiates the re-estimated score, bandwidth included
+    (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)); Newton solves with it.
+    ``A`` holds the score function (data points, bandwidth, centering
+    constant) frozen at this point, so only the evaluation points move.
+    Differentiating the frozen score, not the re-estimated one, is what makes
+    the sandwich A^-1 B A^-T consistent for the estimator's variance at a
+    root: the adaptive score estimate is first-order ignorable, while
+    re-estimation inside A cancels part of the derivative and inflates the
+    variance roughly twofold. Rows, J and A all come from one kernel pass.
     """
     if point.sigma2 <= 0.0:
         raise EstimationError("sigma2 must be positive")
@@ -387,39 +320,33 @@ def semiparam_psi(
         raise EstimationError(f"need at least 10 residuals for score estimation (got {e.size})")
     if not np.all(np.isfinite(e)):
         raise EstimationError("residuals contain non-finite values")
-    if bandwidth is None:
-        h = silverman_bandwidth(e)
-        dev = e - e.mean()
-        dh = -h * (dev @ X) / (dev @ dev)
-    else:
-        h = float(bandwidth)
-        dh = np.zeros(design.p)
-    s, ds = _kernel_score(e, e, h, leave_one_out=True, X=X, dh=dh)
-    return _score_psi_and_jacobian(design, e, s - s.mean(), ds, point.sigma2)
+    h = silverman_bandwidth(e)
+    dev = e - e.mean()
+    dh = -h * (dev @ X) / (dev @ dev)
+    s, ds_newton, ds_frozen = _kernel_score(e, h, X, dh)
 
-
-def frozen_score_psi_and_jacobian(
-    design: DesignMatrix,
-    response: np.ndarray,
-    root: ParameterPoint,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Estimating-function rows at the root and their Jacobian, fitted score frozen.
-
-    The kernel score function (data points, bandwidth, centering constant) is
-    frozen at the root's residuals; only the evaluation points move with the
-    parameter. Differentiating this function, rather than the re-estimated
-    score, is what makes the sandwich A^-1 B A^-T consistent for the
-    estimator's variance: the adaptive score estimate is first-order
-    ignorable, while re-estimation inside A cancels part of the derivative and
-    inflates the variance roughly twofold. At the root the evaluation points
-    are the data points, so one kernel pass gives the centering constant, the
-    rows and, from S0, S1 and S2, the closed-form A.
-    """
-    X = design.values
-    y = np.asarray(response, dtype=float)
-    e = y - X @ root.beta
-    s, ds = _kernel_score(e, e, silverman_bandwidth(e), leave_one_out=True, X=X)
-    return _score_psi_and_jacobian(design, e, s - s.mean(), ds, root.sigma2)
+    # Slope rows pair the centered score with the centered regressor. The
+    # centering changes nothing about the solved equations (both centerings
+    # expand to mean(x_j shat) - xbar_j * mean(shat) = 0), but it makes the
+    # per-observation rows a proper estimating function for the sandwich: the
+    # adaptive score is invariant to intercept shifts, so the slope rows must
+    # carry no intercept coupling and their outer products must scale with the
+    # centered regressor moments, or the covariance is inconsistent. For the
+    # same reason the score's centering constant drops out of both Jacobians.
+    n, p = X.shape
+    psi = np.empty((n, p + 1))
+    psi[:, 0] = e
+    x_centered = X[:, 1:] - X[:, 1:].mean(axis=0)
+    psi[:, 1:p] = x_centered * (s - s.mean())[:, None]
+    psi[:, p] = e * e - point.sigma2
+    J = np.zeros((p + 1, p + 1))
+    J[0, :p] = -X.mean(axis=0)
+    J[p, :p] = -2.0 * (e @ X) / n
+    J[p, p] = -1.0
+    A = J.copy()
+    J[1:p, :p] = x_centered.T @ ds_newton / n
+    A[1:p, :p] = x_centered.T @ ds_frozen / n
+    return psi, J, A
 
 
 def newton_root(
@@ -542,7 +469,8 @@ def fit_semiparametric(
     reason per start. Requires n >= p + 10 so the residual score estimate has
     something to work with. ``ols`` is the least-squares fit of the same
     design and response that seeds the starts and the screens; it is fitted
-    here when not given.
+    here when not given. A converged root's rows and sandwich ``A`` are those
+    of Newton's last evaluation, which was at the root itself.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
@@ -551,16 +479,24 @@ def fit_semiparametric(
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
     if ols is None:
         ols = fit_ols(design, y)
-    elif ols.method != "ols" or ols.design.values.shape != X.shape:
-        raise EstimationError("ols must be the least-squares fit of the same design")
+    elif not (
+        ols.method == "ols" and np.array_equal(ols.design.values, X) and np.array_equal(ols.response, y)
+    ):
+        raise EstimationError("ols must be the least-squares fit of the same design and response")
     starts = make_starts(ols)
     dim = p + 1
+    # Newton's last evaluation: (point, rows, A), or None if it failed. Local
+    # to this call, since replicates may be fitted on several threads.
+    last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal last
+        last = None
         try:
-            psi, J = semiparam_psi(design, y, ParameterPoint.from_vector(v))
+            psi, J, A = semiparam_psi(design, y, ParameterPoint.from_vector(v))
         except EstimationError:
             return np.full(dim, np.nan), np.full((dim, dim), np.nan)
+        last = (v.copy(), psi, A)
         return psi.mean(axis=0), J
 
     reasons: list[str] = []
@@ -569,15 +505,13 @@ def fit_semiparametric(
         if not result.converged:
             reasons.append(f"start {idx}: {result.reason}")
             continue
+        if last is None or last[0].tobytes() != result.root.tobytes():
+            raise RuntimeError(f"start {idx}: Newton's last evaluation is not at the returned root")
         if result.residual_norm > ACCEPT_PSI_MEAN_TOL:
             reasons.append(f"start {idx}: stalled with residual norm {result.residual_norm:.3g}")
             continue
         point = ParameterPoint.from_vector(result.root)
-        try:
-            psi, A = frozen_score_psi_and_jacobian(design, y, point)
-        except EstimationError as exc:
-            reasons.append(f"start {idx}: {exc}")
-            continue
+        _, psi, A = last
         rcond = reciprocal_condition(A)
         cov: np.ndarray | None = None
         if rcond > rule.rcond_min:

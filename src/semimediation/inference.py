@@ -399,7 +399,8 @@ def mediate(
             p_val: float | None = None
             if interaction:
                 eta_idx = stacked.index_map.eta
-                assert eta_idx is not None
+                if eta_idx is None:
+                    raise RuntimeError("interaction model stacked without an interaction coefficient")
                 se = math.sqrt(max(stacked.cov[eta_idx, eta_idx], 0.0))
                 p_val = _normal_p_value(stacked.theta[eta_idx] / se) if se > 0 else float("nan")
             results[m] = MethodResult(m, effects, stacked, med_fit, out_fit, p_val)

@@ -13,10 +13,8 @@ from semimediation.estimators import (
     ParameterPoint,
     RegressionFit,
     ScreeningRule,
-    estimate_score,
     fit_ols,
     fit_semiparametric,
-    frozen_score_psi_and_jacobian,
     make_starts,
     newton_root,
     screen_root,
@@ -97,45 +95,49 @@ class TestFitOls:
         assert np.max(np.abs(fit.cov[:2, :2] - hc0)) < 1e-8
 
 
-class TestEstimateScore:
-    def test_symmetric_sample_scores_zero_at_origin(self):
-        residuals = np.array([-1.0] * 6 + [1.0] * 6)
-        sc = estimate_score(residuals, np.array([0.0]))
-        assert abs(sc.score_values[0]) < 1e-12
+def kernel_score(e):
+    """Leave-one-out score at the residuals themselves, and the Silverman bandwidth it used."""
+    h = estimators.silverman_bandwidth(e)
+    return estimators._kernel_score(e, h, np.ones((e.size, 1)), np.zeros(1))[0], h
 
-    def test_gaussian_score_near_minus_e(self):
-        rng = np.random.default_rng(0)
-        sc = estimate_score(rng.standard_normal(5000), np.array([1.0]))
-        assert -1.25 <= sc.score_values[0] <= -0.75
 
-    def test_laplace_score_near_analytic(self):
+class TestKernelScore:
+    def test_symmetric_sample_scores_sum_to_zero(self):
+        a = np.random.default_rng(0).standard_normal(60)
+        s, _ = kernel_score(np.concatenate([a, -a]))
+        assert np.allclose(s[:60], -s[60:], rtol=0.0, atol=1e-12)
+        assert abs(s.sum()) < 1e-10
+
+    @pytest.mark.parametrize("law", ["normal", "laplace"])
+    def test_stein_identity(self, law):
+        # Integration by parts gives E[(f'/f)(e) e] = -1 for any density with
+        # finite variance: for the Gaussian, whose score is -e, it is -E[e^2].
         rng = np.random.default_rng(0)
-        residuals = rng.laplace(0.0, 1 / math.sqrt(2), 5000)  # unit variance
-        sc = estimate_score(residuals, np.array([2.0]))
-        assert abs(sc.score_values[0] - (-math.sqrt(2))) < 0.3
+        e = rng.standard_normal(2000) if law == "normal" else rng.laplace(0.0, 1 / math.sqrt(2), 2000)
+        s, _ = kernel_score(e)
+        assert -1.1 <= np.mean(s * e) <= -0.85
+
+    def test_far_outlier_clamped_finite_and_bounded(self):
+        rng = np.random.default_rng(1)
+        e = np.append(rng.standard_normal(200), 40.0)  # far below the density floor
+        s, h = kernel_score(e)
+        assert loo_kernel_branches(e, h)[0] == 1
+        assert np.all(np.isfinite(s))
+        assert np.all(np.abs(s) <= 10.0 / h)
+        # the outlier copies the score of the nearest adequately dense point
+        assert s[-1] in s[:-1]
 
     def test_zero_variance_is_error(self):
+        design, resp = simple_design(np.array([0.0, 1.0] * 10), np.ones(20))
         with pytest.raises(EstimationError, match="zero-variance"):
-            estimate_score(np.ones(20), np.ones(20))
+            semiparam_psi(design, resp, ParameterPoint(np.array([1.0, 0.0]), 1.0))
 
     def test_too_few_residuals(self):
+        from semimediation.data import DesignMatrix
+
+        design = DesignMatrix(np.ones((5, 1)), ("intercept",), 1)
         with pytest.raises(EstimationError, match="at least 10"):
-            estimate_score(np.arange(5.0), np.arange(5.0))
-
-    def test_scores_clipped_and_finite(self):
-        rng = np.random.default_rng(1)
-        r = rng.standard_normal(200)
-        pts = np.array([-40.0, 0.0, 40.0])  # far tails hit the density floor
-        sc = estimate_score(r, pts)
-        assert np.all(np.isfinite(sc.score_values))
-        assert np.all(np.abs(sc.score_values) <= sc.clip_bound)
-
-    def test_explicit_bandwidth_respected(self):
-        rng = np.random.default_rng(2)
-        r = rng.standard_normal(100)
-        sc = estimate_score(r, r, bandwidth=0.5)
-        assert sc.bandwidth == 0.5
-        assert sc.clip_bound == pytest.approx(20.0)
+            semiparam_psi(design, np.arange(5.0), ParameterPoint(np.zeros(1), 1.0))
 
 
 class TestSemiparamPsi:
@@ -145,23 +147,23 @@ class TestSemiparamPsi:
         y = 0.3 + t + rng.standard_normal(60)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        psi, _ = semiparam_psi(design, resp, ols.params)
+        psi, _, _ = semiparam_psi(design, resp, ols.params)
         assert abs(psi[:, 0].mean()) < 1e-10
 
-    def test_fixed_bandwidth_matches_direct_oracle(self):
+    def test_matches_direct_oracle(self):
         t = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
         m = np.array([0.3, 1.1, -0.4, 0.9, 0.1, 1.4, -0.2, 0.7, 0.5, 1.0, -0.1, 0.8])
         y = np.array([0.2, 0.9, -0.6, 1.1, 0.3, 1.2, -0.3, 0.5, 0.6, 0.8, -0.2, 0.9])
         ds = dataset_from_arrays(T=t, M=m, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M"))
         point = ParameterPoint(np.array([0.05, 0.3, 0.4]), 0.2)
-        h = 0.5
-        psi, _ = semiparam_psi(design, y, point, bandwidth=h)
+        psi, _, _ = semiparam_psi(design, y, point)
 
         # oracle: direct per-point kernel sums, own point left out
         X = design.values
         n = len(y)
         e = y - X @ point.beta
+        h = 1.06 * np.std(e, ddof=1) * n ** (-0.2)
         dens = np.empty(n)
         scores = np.empty(n)
         for i in range(n):
@@ -196,9 +198,9 @@ class TestSemiparamPsi:
         y = t + rng.laplace(size=50)
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
-        e = resp - design.values @ fit.params.beta
-        sc = estimate_score(e, e)
-        assert abs((sc.score_values - sc.score_values.mean()).mean()) < 1e-14
+        psi, _, _ = semiparam_psi(design, resp, fit.params)
+        x_centered = t - t.mean()
+        assert abs((psi[:, 1] / x_centered).mean()) < 1e-12
 
     def test_nonpositive_sigma2_rejected(self):
         design, resp = simple_design(np.array([0.0, 1] * 10), np.arange(20.0))
@@ -459,6 +461,17 @@ class TestFitSemiparametric:
         with pytest.raises(EstimationError, match="least-squares fit of the same design"):
             fit_semiparametric(design, resp, ols=fit_ols(wider, y))
 
+    def test_ols_fit_of_another_response_or_values_rejected(self):
+        # Same shapes, so only the values tell these fits from the right one.
+        rng = np.random.default_rng(15)
+        t = (rng.random(40) < 0.5).astype(float)
+        y = t + rng.standard_normal(40)
+        design, resp = simple_design(t, y)
+        shifted, _ = simple_design(1.0 - t, y)
+        for wrong in (fit_ols(design, resp + 1.0), fit_ols(shifted, resp)):
+            with pytest.raises(EstimationError, match="same design and response"):
+                fit_semiparametric(design, resp, ols=wrong)
+
     def test_too_small_sample_rejected(self):
         t = np.array([0.0, 1.0] * 5)
         y = np.arange(10.0)
@@ -516,12 +529,8 @@ def loo_kernel_branches(e, h):
     return int((~ok).sum()), int((np.abs(S1[ok] / S0[ok]) > 10.0).sum())
 
 
-def frozen_mean_psi_oracle(design, y, root):
-    """Mean adaptive-score rows with the score function frozen at ``root``, written out directly."""
-    X = design.values
-    n = y.size
-    r = y - X @ root.beta
-    h = 1.06 * np.std(r, ddof=1) * n ** (-0.2)
+def frozen_score_oracle(r, h):
+    """The clamped, clipped kernel score function of data points r, written out directly."""
 
     def score(pts):
         u = (pts[:, None] - r[None, :]) / h
@@ -535,6 +544,14 @@ def frozen_mean_psi_oracle(design, y, root):
             s[i] = s[good[np.argmin(np.abs(pts[good] - pts[i]))]]
         return np.clip(s, -10.0 / h, 10.0 / h)
 
+    return score
+
+
+def frozen_mean_psi_oracle(design, y, root):
+    """Mean adaptive-score rows with the score function frozen at ``root``, written out directly."""
+    X = design.values
+    r = y - X @ root.beta
+    score = frozen_score_oracle(r, 1.06 * np.std(r, ddof=1) * y.size ** (-0.2))
     center = score(r).mean()
     xc = X[:, 1:] - X[:, 1:].mean(axis=0)
 
@@ -550,22 +567,41 @@ class TestExactJacobians:
     """Closed-form Jacobians against central differences."""
 
     @staticmethod
-    def newton_oracle(design, y, point, bandwidth=None, step_rel=1e-5):
+    def newton_oracle(design, y, point):
         return central_diff(
-            lambda v: semiparam_psi(design, y, ParameterPoint.from_vector(v), bandwidth)[0].mean(axis=0),
+            lambda v: semiparam_psi(design, y, ParameterPoint.from_vector(v))[0].mean(axis=0),
             point.as_vector(),
-            step_rel,
         )
 
+    @staticmethod
+    def fixed_bandwidth_errors(design, y, point, h, step_rel=1e-5):
+        """Relative errors of the re-estimated and the frozen score derivatives at a
+        fixed bandwidth against central differences."""
+        X = design.values
+        e = y - X @ point.beta
+        _, ds_newton, ds_frozen = estimators._kernel_score(e, h, X, np.zeros(design.p))
+        newton = central_diff(
+            lambda b: estimators._kernel_score(y - X @ b, h, X, np.zeros(design.p))[0], point.beta, step_rel
+        )
+        frozen = central_diff(lambda b: frozen_score_oracle(e, h)(y - X @ b), point.beta, step_rel)
+        return rel_err(ds_newton, newton), rel_err(ds_frozen, frozen)
+
     @pytest.mark.parametrize("law", ERROR_LAWS)
-    @pytest.mark.parametrize("bandwidth", [None, 0.4])
-    def test_newton_jacobian_matches_central_differences(self, law, bandwidth):
+    def test_newton_jacobian_matches_central_differences(self, law):
         for seed in range(3):
             design, y = law_design(law, seed)
             ols = fit_ols(design, y)
             point = ParameterPoint(ols.params.beta + 0.05, 1.2 * ols.params.sigma2)
-            _, J = semiparam_psi(design, y, point, bandwidth)
-            assert rel_err(J, self.newton_oracle(design, y, point, bandwidth)) <= 1e-6
+            _, J, _ = semiparam_psi(design, y, point)
+            assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
+
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    def test_fixed_bandwidth_derivative_matches_central_differences(self, law):
+        for seed in range(3):
+            design, y = law_design(law, seed)
+            ols = fit_ols(design, y)
+            point = ParameterPoint(ols.params.beta + 0.05, ols.params.sigma2)
+            assert max(self.fixed_bandwidth_errors(design, y, point, 0.4)) <= 1e-6
 
     def test_newton_jacobian_with_outlier_clamps(self):
         rng = np.random.default_rng(5)
@@ -573,7 +609,7 @@ class TestExactJacobians:
         design, y, point = design_with_residuals(e, 5)
         h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
         assert loo_kernel_branches(e, h)[0] > 0
-        _, J = semiparam_psi(design, y, point)
+        _, J, _ = semiparam_psi(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
 
     def test_newton_jacobian_with_clipped_and_clamped_points(self):
@@ -587,8 +623,7 @@ class TestExactJacobians:
         design, y, point = design_with_residuals(e, 6)
         clamped, clipped = loo_kernel_branches(e, h)
         assert clamped > 0 and clipped > 0
-        _, J = semiparam_psi(design, y, point, bandwidth=h)
-        assert rel_err(J, self.newton_oracle(design, y, point, h, step_rel=1e-6)) <= 1e-6
+        assert max(self.fixed_bandwidth_errors(design, y, point, h, step_rel=1e-6)) <= 1e-6
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
     def test_frozen_jacobian_matches_oracle(self, law):
@@ -604,7 +639,7 @@ class TestExactJacobians:
         design, y, point = design_with_residuals(e, 7)
         h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
         assert loo_kernel_branches(e, h)[0] > 0
-        _, A = frozen_score_psi_and_jacobian(design, y, point)
+        A = semiparam_psi(design, y, point)[2]
         oracle = central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())
         assert rel_err(A, oracle) <= 1e-6
 
@@ -636,7 +671,6 @@ class TestExactJacobians:
         design = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=tuple(cols)))
         ols = fit_ols(design, y)
         point = ParameterPoint(ols.params.beta + shift, ols.params.sigma2)
-        _, J = semiparam_psi(design, y, point)
+        _, J, A = semiparam_psi(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-5
-        _, A = frozen_score_psi_and_jacobian(design, y, point)
         assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())) <= 1e-5

@@ -181,9 +181,9 @@ class TestSandwichAndStacking:
             assert np.all(st_fit.A[d1:, :d1] == 0.0)
 
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
-        # Each accepted fit makes one kernel-score pass per Newton evaluation
-        # and one at the root, which gives the centering constant, the psi rows
-        # and the closed-form A together; stacking makes none.
+        # Each fit makes one kernel-score pass per Newton evaluation and none
+        # after it: the rows and A at the root come from Newton's last
+        # evaluation. Stacking makes none.
         calls = {"passes": 0, "psi": 0}
         kernel_score, semiparam_psi = estimators._kernel_score, estimators.semiparam_psi
 
@@ -203,13 +203,24 @@ class TestSandwichAndStacking:
             calls.update(passes=0, psi=0)
             fit = fit_semiparametric(build_design(data, spec), data.column(spec.response))
             assert fit.diagnostics.start_index_used == 0
-            assert calls["passes"] - calls["psi"] == 1
+            assert calls["passes"] == calls["psi"]
             # at least one evaluation per iteration plus the start
             assert calls["psi"] >= fit.diagnostics.iterations + 1
             fits.append(fit)
         calls.update(passes=0, psi=0)
         stack_fits(*fits)
         assert calls == {"passes": 0, "psi": 0}
+
+    def test_root_other_than_last_evaluation_is_a_bug(self, laplace_mediation_data, monkeypatch):
+        def misreporting_newton_root(F, x0, max_iterations=estimators.MAX_NEWTON_ITERATIONS):
+            F(x0)
+            F(x0 + 0.01)
+            return estimators.NewtonResult(x0, 1, 0.0, True)
+
+        monkeypatch.setattr(estimators, "newton_root", misreporting_newton_root)
+        data = laplace_mediation_data
+        with pytest.raises(RuntimeError, match="last evaluation"):
+            fit_semiparametric(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
 
     def test_mismatched_sizes_rejected(self, laplace_mediation_data):
         data = laplace_mediation_data

@@ -1,8 +1,8 @@
 """The traced benchmark wraps package functions by (module, attribute) name.
 
-A rename in the package would otherwise only surface when the benchmark runs;
-here it fails the test suite. The benchmark's tracing module is read, not
-changed.
+A rename or a signature change in the package would otherwise only surface
+when the benchmark runs; here it fails the test suite. The benchmark's tracing
+module is read, not changed.
 """
 
 import importlib
@@ -10,7 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from semimediation import dataset_from_arrays, mediate
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -23,9 +26,26 @@ def load_tracing():
     return module
 
 
-PATCH_POINTS = load_tracing().PATCH_POINTS
+TRACING_MODULE = load_tracing()
+PATCH_POINTS = TRACING_MODULE.PATCH_POINTS
 
 
 @pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _, _ in PATCH_POINTS])
 def test_patch_point_resolves_to_a_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_traced_semiparametric_mediate_counts_kernel_elements():
+    rng = np.random.default_rng(3)
+    n = 60
+    t = (rng.random(n) < 0.5).astype(float)
+    m = 0.5 * t + rng.laplace(size=n)
+    y = 0.3 * t + 0.6 * m + rng.laplace(size=n)
+    data = dataset_from_arrays(T=t, M=m, Y=y)
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed():
+        mediate(data, treatment="T", mediator="M", outcome="Y", method="semiparametric")
+    metrics = TRACING_MODULE.layer_metrics(tracer.spans, workers=1)
+    calls = metrics["estimators.semiparam_psi.calls"]
+    assert calls > 0
+    assert metrics["estimators.kernel_elements"] == calls * n**2
