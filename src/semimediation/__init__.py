@@ -13,8 +13,6 @@ from .estimators import (
     FitFailure,
     ParameterPoint,
     RegressionFit,
-    ScreeningRule,
-    StartSet,
     fit_ols,
     fit_semiparametric,
     make_starts,
@@ -60,8 +58,6 @@ __all__ = [
     "FitFailure",
     "ParameterPoint",
     "RegressionFit",
-    "ScreeningRule",
-    "StartSet",
     "fit_ols",
     "fit_semiparametric",
     "make_starts",

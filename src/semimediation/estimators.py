@@ -15,17 +15,19 @@ Both return per-observation estimating-function values, the averaged Jacobian
 and closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``,
 and one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
-sums. The fit takes rows and ``A`` from Newton's last evaluation, which is at
-the root, so no kernel pass follows the solve. Downstream inference stacks the
-fits' ``psi_values`` and ``jacobian_A`` across the mediator and outcome models
-without re-evaluating either.
+sums. ``fit_semiparametric`` reads its design and response from the
+least-squares fit that seeds its starts, and Newton hands back the rows and
+``A`` of its evaluation at the root together with the root, so no kernel pass
+follows the solve. Downstream inference stacks the fits' ``psi_values`` and
+``jacobian_A`` across the mediator and outcome models without re-evaluating
+either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -38,6 +40,15 @@ NEWTON_RESIDUAL_TOL = 1e-8
 NEWTON_STEP_TOL = 1e-10
 MAX_STEP_HALVINGS = 10
 ACCEPT_PSI_MEAN_TOL = 1e-6
+
+# Root screens: the reciprocal-condition floor of the sandwich A, the largest
+# variance relative to least squares, the absolute coefficient cap, and the
+# largest coefficient deviation from least squares in units of
+# max(1, |beta_ols|).
+RCOND_MIN = 1e-10
+SIGMA2_MAX_RATIO = 25.0
+COEF_ABS_MAX = 100.0
+COEF_OLS_DEV_MAX = 15.0
 
 # Kernel-score constants: density floor relative to the peak, and the
 # bandwidth-scaled cap applied to the final score values.
@@ -108,25 +119,15 @@ class FitFailure:
 
 
 @dataclass(frozen=True)
-class StartSet:
-    """The five deterministic solver starts: OLS, then +-d, then +-(s*d)."""
-
-    starts: tuple[ParameterPoint, ...]
-    d: np.ndarray
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
-class ScreeningRule:
-    rcond_min: float = 1e-10
-    sigma2_max_ratio: float = 25.0
-    coef_abs_max: float = 100.0
-    coef_ols_dev_max: float = 15.0
-
-
-@dataclass(frozen=True)
 class NewtonResult:
+    """Where a Newton run ended, and how.
+
+    ``extra`` is the third output of the function's evaluation at ``root``,
+    whether or not the run converged.
+    """
+
     root: np.ndarray
+    extra: Any
     iterations: int
     residual_norm: float
     converged: bool
@@ -350,64 +351,66 @@ def semiparam_psi(
 
 
 def newton_root(
-    F: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    F: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Any]],
     x0: np.ndarray,
     max_iterations: int = MAX_NEWTON_ITERATIONS,
 ) -> NewtonResult:
-    """Damped Newton iteration; ``F(x)`` returns the function value and its Jacobian.
+    """Damped Newton iteration; ``F(x)`` returns the function value, its
+    Jacobian and an extra value that Newton only carries.
 
     Success means the sup-norm of F drops below 1e-8 or the damped step norm
     below 1e-10; each step is halved up to 10 times seeking a decrease in
-    ||F||_inf, and the Jacobian evaluated with the accepted trial point serves
-    the next step. A singular Jacobian or non-finite values end the run as a
-    failure.
+    ||F||_inf, and the Jacobian and extra evaluated with the accepted trial
+    point serve the next step. A singular Jacobian or non-finite values end the
+    run as a failure. The result's ``extra`` is always that of the evaluation
+    at its ``root``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    fx, J = F(x)
+    fx, J, extra = F(x)
     if not np.all(np.isfinite(fx)):
-        return NewtonResult(x, 0, float("inf"), False, "non-finite function value at start")
+        return NewtonResult(x, extra, 0, float("inf"), False, "non-finite function value at start")
     norm = float(np.max(np.abs(fx)))
 
     for iteration in range(1, max_iterations + 1):
         if norm < NEWTON_RESIDUAL_TOL:
-            return NewtonResult(x, iteration - 1, norm, True)
+            return NewtonResult(x, extra, iteration - 1, norm, True)
 
         if not np.all(np.isfinite(J)):
-            return NewtonResult(x, iteration, norm, False, "non-finite jacobian")
+            return NewtonResult(x, extra, iteration, norm, False, "non-finite jacobian")
         try:
             dx = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
-            return NewtonResult(x, iteration, norm, False, "singular jacobian")
+            return NewtonResult(x, extra, iteration, norm, False, "singular jacobian")
         if not np.all(np.isfinite(dx)):
-            return NewtonResult(x, iteration, norm, False, "singular jacobian")
+            return NewtonResult(x, extra, iteration, norm, False, "singular jacobian")
 
         # Step-halving line search on ||F||_inf; if no halving finds a
         # decrease, the smallest step is taken and the step-norm criterion
         # or the iteration cap ends the run.
         t = 1.0
         x_new = x + dx
-        f_new, J_new = F(x_new)
+        f_new, J_new, extra_new = F(x_new)
         for _ in range(MAX_STEP_HALVINGS):
             if np.all(np.isfinite(f_new)) and float(np.max(np.abs(f_new))) < norm:
                 break
             t /= 2.0
             x_new = x + t * dx
-            f_new, J_new = F(x_new)
+            f_new, J_new, extra_new = F(x_new)
         if not np.all(np.isfinite(f_new)):
-            return NewtonResult(x, iteration, norm, False, "non-finite function value")
+            return NewtonResult(x, extra, iteration, norm, False, "non-finite function value")
 
         step_norm = float(np.linalg.norm(t * dx))
-        x, fx, J = x_new, f_new, J_new
+        x, fx, J, extra = x_new, f_new, J_new, extra_new
         norm = float(np.max(np.abs(fx)))
         if norm < NEWTON_RESIDUAL_TOL:
-            return NewtonResult(x, iteration, norm, True)
+            return NewtonResult(x, extra, iteration, norm, True)
         if step_norm < NEWTON_STEP_TOL:
-            return NewtonResult(x, iteration, norm, True)
+            return NewtonResult(x, extra, iteration, norm, True)
 
-    return NewtonResult(x, max_iterations, norm, False, "maximum iterations reached")
+    return NewtonResult(x, extra, max_iterations, norm, False, "maximum iterations reached")
 
 
-def make_starts(ols: RegressionFit) -> StartSet:
+def make_starts(ols: RegressionFit) -> tuple[ParameterPoint, ...]:
     """Five deterministic starts around the least-squares solution.
 
     Per-coefficient steps d_j = max(0.05, 0.1 * max(1, |beta_j|)) and the
@@ -418,14 +421,13 @@ def make_starts(ols: RegressionFit) -> StartSet:
     s2 = ols.params.sigma2
     d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
     s = np.where(np.arange(b.size) % 2 == 0, 1.0, -1.0)
-    starts = (
+    return (
         ParameterPoint(b.copy(), s2),
         ParameterPoint(b + d, s2),
         ParameterPoint(b - d, s2),
         ParameterPoint(b + s * d, s2),
         ParameterPoint(b - s * d, s2),
     )
-    return StartSet(starts, d, s)
 
 
 def screen_root(
@@ -433,7 +435,6 @@ def screen_root(
     cov: np.ndarray | None,
     rcond: float,
     ols: RegressionFit,
-    rule: ScreeningRule = ScreeningRule(),
 ) -> tuple[bool, str | None]:
     """Accept or reject a converged root; the reason names the first violated rule."""
     b = candidate.beta
@@ -442,82 +443,63 @@ def screen_root(
         return False, "non-finite coefficient"
     if not math.isfinite(candidate.sigma2) or candidate.sigma2 <= 0.0:
         return False, "non-positive variance"
-    if candidate.sigma2 > rule.sigma2_max_ratio * ols.params.sigma2:
+    if candidate.sigma2 > SIGMA2_MAX_RATIO * ols.params.sigma2:
         return False, "variance ratio"
-    if np.any(np.abs(b) > rule.coef_abs_max):
+    if np.any(np.abs(b) > COEF_ABS_MAX):
         return False, "coefficient magnitude"
-    if np.any(np.abs(b - b_ols) > rule.coef_ols_dev_max * np.maximum(1.0, np.abs(b_ols))):
+    if np.any(np.abs(b - b_ols) > COEF_OLS_DEV_MAX * np.maximum(1.0, np.abs(b_ols))):
         return False, "coefficient deviation"
     if cov is not None and not np.all(np.isfinite(cov)):
         return False, "non-finite covariance"
-    if not (rcond > rule.rcond_min):
+    if not (rcond > RCOND_MIN):
         return False, "condition number"
     return True, None
 
 
-def fit_semiparametric(
-    design: DesignMatrix,
-    response: np.ndarray,
-    rule: ScreeningRule = ScreeningRule(),
-    ols: RegressionFit | None = None,
-) -> RegressionFit | FitFailure:
+def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     """Multi-start solve of the adaptive score equations for one regression.
 
+    ``ols`` is the least-squares fit of the regression: the design and
+    response are read from it, and it seeds the starts and the screens.
     Starts are tried in their fixed order; the first converged root that
     passes the condition-number and plausibility screens is returned with its
     sandwich covariance. If none survives, a :class:`FitFailure` records one
     reason per start. Requires n >= p + 10 so the residual score estimate has
-    something to work with. ``ols`` is the least-squares fit of the same
-    design and response that seeds the starts and the screens; it is fitted
-    here when not given. A converged root's rows and sandwich ``A`` are those
-    of Newton's last evaluation, which was at the root itself.
+    something to work with. A root's rows and sandwich ``A`` come with it from
+    Newton, as the extra value of the evaluation there.
     """
-    X = design.values
-    y = np.asarray(response, dtype=float)
-    n, p = X.shape
+    if ols.method != "ols":
+        raise EstimationError(f"ols must be a least-squares fit, not a {ols.method} fit")
+    design, y = ols.design, ols.response
+    n, p = design.values.shape
     if n < p + 10:
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
-    if ols is None:
-        ols = fit_ols(design, y)
-    elif not (
-        ols.method == "ols" and np.array_equal(ols.design.values, X) and np.array_equal(ols.response, y)
-    ):
-        raise EstimationError("ols must be the least-squares fit of the same design and response")
-    starts = make_starts(ols)
     dim = p + 1
-    # Newton's last evaluation: (point, rows, A), or None if it failed. Local
-    # to this call, since replicates may be fitted on several threads.
-    last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal last
-        last = None
+    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         try:
             psi, J, A = semiparam_psi(design, y, ParameterPoint.from_vector(v))
         except EstimationError:
-            return np.full(dim, np.nan), np.full((dim, dim), np.nan)
-        last = (v.copy(), psi, A)
-        return psi.mean(axis=0), J
+            return np.full(dim, np.nan), np.full((dim, dim), np.nan), None
+        return psi.mean(axis=0), J, (psi, A)
 
     reasons: list[str] = []
-    for idx, start in enumerate(starts.starts):
+    for idx, start in enumerate(make_starts(ols)):
         result = newton_root(mean_psi, start.as_vector())
         if not result.converged:
             reasons.append(f"start {idx}: {result.reason}")
             continue
-        if last is None or last[0].tobytes() != result.root.tobytes():
-            raise RuntimeError(f"start {idx}: Newton's last evaluation is not at the returned root")
         if result.residual_norm > ACCEPT_PSI_MEAN_TOL:
             reasons.append(f"start {idx}: stalled with residual norm {result.residual_norm:.3g}")
             continue
         point = ParameterPoint.from_vector(result.root)
-        _, psi, A = last
+        psi, A = result.extra
         rcond = reciprocal_condition(A)
         cov: np.ndarray | None = None
-        if rcond > rule.rcond_min:
+        if rcond > RCOND_MIN:
             B = psi.T @ psi / n
             cov = sandwich_covariance(A, B, n)
-        accepted, reason = screen_root(point, cov, rcond, ols, rule)
+        accepted, reason = screen_root(point, cov, rcond, ols)
         if accepted:
             if cov is None:
                 raise RuntimeError(f"start {idx}: root accepted without a sandwich covariance")
@@ -531,4 +513,3 @@ def fit_semiparametric(
             return RegressionFit(point, "semiparametric", psi, A, cov, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure("semiparametric", tuple(reasons))
-

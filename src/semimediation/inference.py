@@ -24,6 +24,7 @@ from .data import (
     response_vector,
 )
 from .estimators import (
+    RCOND_MIN,
     FitFailure,
     RegressionFit,
     fit_ols,
@@ -53,13 +54,9 @@ class ParameterIndex:
     alpha2: int
     beta2: int
     xi2: tuple[int, ...]
-    sigma2_m: int
-    alpha3: int
     beta3: int
     gamma: int
     eta: int | None
-    xi3: tuple[int, ...]
-    sigma2_y: int
     dim: int
 
 
@@ -101,13 +98,9 @@ def _index_map(med_design: DesignMatrix, out_design: DesignMatrix) -> ParameterI
         alpha2=0,
         beta2=med_design.role_index(ROLE_TREATMENT),
         xi2=med_design.covariate_indices(),
-        sigma2_m=med_design.p,
-        alpha3=off,
         beta3=off + roles_out.index(ROLE_TREATMENT),
         gamma=off + roles_out.index(ROLE_MEDIATOR),
         eta=eta,
-        xi3=tuple(off + i for i in out_design.covariate_indices()),
-        sigma2_y=off + out_design.p,
         dim=off + out_design.p + 1,
     )
 
@@ -137,7 +130,7 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     A[:d1, :d1] = med.jacobian_A
     A[d1:, d1:] = out.jacobian_A
     rcond = reciprocal_condition(A)
-    if not (rcond > 1e-10):
+    if not (rcond > RCOND_MIN):
         raise InferenceError(f"stacked jacobian numerically singular (rcond={rcond:.3g})")
     B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
@@ -369,8 +362,10 @@ def mediate(
     )
     med_design = build_design(dataset, med_spec)
     out_design = build_design(dataset, out_spec)
-    med_y = response_vector(dataset, med_spec)
-    out_y = response_vector(dataset, out_spec)
+    # Least-squares fits: the OLS method's result, and the semiparametric
+    # fits' data, starts and screens.
+    med_ols = fit_ols(med_design, response_vector(dataset, med_spec))
+    out_ols = fit_ols(out_design, response_vector(dataset, out_spec))
     xbar = (
         np.array([dataset.column(c).mean() for c in covariates])
         if covariates
@@ -378,20 +373,13 @@ def mediate(
     )
 
     results: dict[str, MethodResult] = {}
-    # Least-squares fits, kept to seed the semiparametric starts and screens.
-    med_ols: RegressionFit | None = None
-    out_ols: RegressionFit | None = None
     for m in wanted:
         if m == METHOD_OLS:
-            med_ols = fit_ols(med_design, med_y)
-            out_ols = fit_ols(out_design, out_y)
             med_fit: RegressionFit | FitFailure = med_ols
             out_fit: RegressionFit | FitFailure | None = out_ols
         else:
-            med_fit = fit_semiparametric(med_design, med_y, ols=med_ols)
-            out_fit = (
-                fit_semiparametric(out_design, out_y, ols=out_ols) if isinstance(med_fit, RegressionFit) else None
-            )
+            med_fit = fit_semiparametric(med_ols)
+            out_fit = fit_semiparametric(out_ols) if isinstance(med_fit, RegressionFit) else None
 
         if isinstance(med_fit, RegressionFit) and isinstance(out_fit, RegressionFit):
             stacked = stack_fits(med_fit, out_fit)

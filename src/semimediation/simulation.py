@@ -350,23 +350,3 @@ def write_replicate_csv(path: str, results: list[ReplicateResult]) -> None:
                     [r.replicate_index, r.method, effect, _fmt(r.estimates[j]), _fmt(r.ci_lower[j]), _fmt(r.ci_upper[j]), int(r.success)]
                 )
 
-
-def read_metrics_csv(path: str) -> list[MetricsRow]:
-    rows: list[MetricsRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                MetricsRow(
-                    rec["scenario"],
-                    rec["method"],
-                    rec["effect"],
-                    float(rec["bias"]),
-                    float(rec["rmse"]),
-                    float(rec["coverage"]),
-                    float(rec["avg_length"]),
-                    float(rec["success_rate"]),
-                    int(rec["reps_used"]),
-                )
-            )
-    return rows

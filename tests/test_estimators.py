@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from semimediation.estimators import (
     FitFailure,
     ParameterPoint,
     RegressionFit,
-    ScreeningRule,
     fit_ols,
     fit_semiparametric,
     make_starts,
@@ -210,36 +210,36 @@ class TestSemiparamPsi:
 
 class TestNewtonRoot:
     def test_affine_in_one_iteration(self):
-        res = newton_root(lambda x: (np.array([x[0] - 3.0]), np.array([[1.0]])), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([x[0] - 3.0]), np.array([[1.0]]), None), np.array([0.0]))
         assert res.converged
         assert res.iterations == 1
         assert res.root[0] == pytest.approx(3.0, abs=1e-8)
 
     def test_two_dimensional_closed_form_root(self):
         def F(x):
-            return np.array([x[0] ** 2 - 4.0, x[1] - 1.0]), np.array([[2.0 * x[0], 0.0], [0.0, 1.0]])
+            return np.array([x[0] ** 2 - 4.0, x[1] - 1.0]), np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]), None
 
         res = newton_root(F, np.array([1.0, 0.0]))
         assert res.converged
         assert np.allclose(res.root, [2.0, 1.0], atol=1e-7)
 
     def test_constant_function_fails(self):
-        res = newton_root(lambda x: (np.array([1.0]), np.array([[0.0]])), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([1.0]), np.array([[0.0]]), None), np.array([0.0]))
         assert not res.converged
         assert res.reason == "singular jacobian"
 
     def test_non_finite_start_fails(self):
-        res = newton_root(lambda x: (np.array([math.nan]), np.array([[1.0]])), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([math.nan]), np.array([[1.0]]), None), np.array([0.0]))
         assert not res.converged
 
     def test_non_finite_jacobian_fails(self):
-        res = newton_root(lambda x: (np.array([x[0] - 1.0]), np.array([[math.nan]])), np.array([0.0]))
+        res = newton_root(lambda x: (np.array([x[0] - 1.0]), np.array([[math.nan]]), None), np.array([0.0]))
         assert not res.converged
         assert res.reason == "non-finite jacobian"
 
     def test_iteration_cap(self):
         # double root at 0: Newton only halves x each step
-        res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])), np.array([1.0]), max_iterations=5)
+        res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None), np.array([1.0]), max_iterations=5)
         assert not res.converged
         assert res.reason == "maximum iterations reached"
         assert res.iterations == 5
@@ -252,42 +252,73 @@ class TestNewtonRoot:
 
         def F(x):
             points.append(float(x[0]))
-            return np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]])
+            return np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]]), None
 
         res = newton_root(F, np.array([3.0]))
         assert res.converged
         assert res.root[0] == pytest.approx(2.0, abs=1e-8)
         assert len(points) == len(set(points))
 
+    def test_extra_comes_from_the_root(self):
+        def with_extra(f, J):
+            return lambda x: (f(x), J(x), x.copy())
+
+        converged = newton_root(with_extra(lambda x: x**3 - 8.0, lambda x: np.diag(3.0 * x**2)), np.array([3.0]))
+        # double root at 0: the cap ends the run after accepted steps
+        capped = newton_root(with_extra(lambda x: x**2, lambda x: np.diag(2.0 * x)), np.array([1.0]), max_iterations=5)
+        # finite only for |x| < 1, root at 1e4: the full step and all ten
+        # halvings land where it is non-finite, so the run ends at its start
+        blown_up = newton_root(
+            with_extra(lambda x: np.where(np.abs(x) < 1.0, x - 1e4, np.nan), lambda x: np.eye(1)), np.array([0.0])
+        )
+        assert converged.converged and not capped.converged and not blown_up.converged
+        assert capped.reason == "maximum iterations reached"
+        assert blown_up.reason == "non-finite function value"
+        for res in (converged, capped, blown_up):
+            assert np.array_equal(res.extra, res.root)
+
 
 class TestMakeStarts:
+    # The documented steps: d = max(0.05, 0.1 * max(1, |beta|)) and the
+    # alternating signs s = (1, -1, 1, ...).
+    @staticmethod
+    def steps(beta):
+        d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(beta)))
+        s = np.array([(-1.0) ** j for j in range(beta.size)])
+        return d, s
+
     def test_step_vector_and_fourth_start(self):
         fit = _fake_ols(np.array([0.2, 3.0]), 1.0)
-        ss = make_starts(fit)
-        assert np.allclose(ss.d, [0.1, 0.3])
-        assert np.allclose(ss.starts[3].beta, [0.3, 2.7])
+        starts = make_starts(fit)
+        d, s = self.steps(fit.params.beta)
+        assert np.allclose(d, [0.1, 0.3])
+        assert np.allclose(starts[1].beta - fit.params.beta, d)
+        assert np.allclose(starts[3].beta, [0.3, 2.7])
 
     def test_zero_coefficients_floor(self):
         fit = _fake_ols(np.array([0.0, 0.0]), 1.0)
-        ss = make_starts(fit)
-        assert np.allclose(ss.d, [0.1, 0.1])
+        starts = make_starts(fit)
+        assert np.allclose(starts[1].beta, [0.1, 0.1])
+        assert np.allclose(starts[2].beta, [-0.1, -0.1])
 
     def test_first_start_is_ols_exactly(self):
         fit = _fake_ols(np.array([-1.7, 0.4, 12.0]), 2.5)
-        ss = make_starts(fit)
-        assert len(ss.starts) == 5
-        assert np.array_equal(ss.starts[0].beta, fit.params.beta)
-        assert ss.starts[0].sigma2 == fit.params.sigma2
+        starts = make_starts(fit)
+        assert len(starts) == 5
+        assert np.array_equal(starts[0].beta, fit.params.beta)
+        assert starts[0].sigma2 == fit.params.sigma2
 
     def test_start_order(self):
-        fit = _fake_ols(np.array([1.0, -2.0]), 1.0)
-        ss = make_starts(fit)
-        b, d, s = fit.params.beta, ss.d, ss.s
-        assert np.array_equal(ss.starts[1].beta, b + d)
-        assert np.array_equal(ss.starts[2].beta, b - d)
-        assert np.array_equal(ss.starts[3].beta, b + s * d)
-        assert np.array_equal(ss.starts[4].beta, b - s * d)
-        assert np.array_equal(s, [1.0, -1.0])
+        fit = _fake_ols(np.array([1.0, -2.0, 0.01]), 1.0)
+        starts = make_starts(fit)
+        b = fit.params.beta
+        d, s = self.steps(b)
+        assert np.array_equal(s, [1.0, -1.0, 1.0])
+        assert np.array_equal(starts[1].beta, b + d)
+        assert np.array_equal(starts[2].beta, b - d)
+        assert np.array_equal(starts[3].beta, b + s * d)
+        assert np.array_equal(starts[4].beta, b - s * d)
+        assert all(start.sigma2 == fit.params.sigma2 for start in starts)
 
 
 def _fake_ols(beta, sigma2):
@@ -353,15 +384,14 @@ class TestScreenRoot:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_thresholds(self, sigma2, coef, rcond, loosen):
         point = ParameterPoint(np.array([coef, 2.0]), sigma2)
-        base = ScreeningRule()
-        looser = ScreeningRule(
-            rcond_min=base.rcond_min / loosen,
-            sigma2_max_ratio=base.sigma2_max_ratio * loosen,
-            coef_abs_max=base.coef_abs_max * loosen,
-            coef_ols_dev_max=base.coef_ols_dev_max * loosen,
-        )
-        ok_base, _ = screen_root(point, self.cov, rcond, self.ols, base)
-        ok_loose, _ = screen_root(point, self.cov, rcond, self.ols, looser)
+        ok_base, _ = screen_root(point, self.cov, rcond, self.ols)
+        with (
+            mock.patch.object(estimators, "RCOND_MIN", estimators.RCOND_MIN / loosen),
+            mock.patch.object(estimators, "SIGMA2_MAX_RATIO", estimators.SIGMA2_MAX_RATIO * loosen),
+            mock.patch.object(estimators, "COEF_ABS_MAX", estimators.COEF_ABS_MAX * loosen),
+            mock.patch.object(estimators, "COEF_OLS_DEV_MAX", estimators.COEF_OLS_DEV_MAX * loosen),
+        ):
+            ok_loose, _ = screen_root(point, self.cov, rcond, self.ols)
         if ok_base:
             assert ok_loose
 
@@ -375,7 +405,7 @@ class TestFitSemiparametric:
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         ols = fit_ols(design, y)
-        semi = fit_semiparametric(design, y)
+        semi = fit_semiparametric(ols)
         assert isinstance(semi, RegressionFit)
         joint_se = np.sqrt(np.diag(ols.cov)[:2] + np.diag(semi.cov)[:2])
         assert np.all(np.abs(semi.params.beta - ols.params.beta) < 3 * joint_se)
@@ -386,7 +416,7 @@ class TestFitSemiparametric:
         y = 1e8 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
-        res = fit_semiparametric(design, y)
+        res = fit_semiparametric(fit_ols(design, y))
         assert isinstance(res, FitFailure)
         assert len(res.reasons) == 5
 
@@ -400,7 +430,7 @@ class TestFitSemiparametric:
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         ols = fit_ols(design, y)
-        semi = fit_semiparametric(design, y)
+        semi = fit_semiparametric(ols)
         assert isinstance(semi, RegressionFit)
         assert math.sqrt(semi.cov[1, 1]) < math.sqrt(ols.cov[1, 1])
 
@@ -411,7 +441,7 @@ class TestFitSemiparametric:
         y = 0.1 + 0.7 * t + rng.laplace(size=n)
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
-        fit = fit_semiparametric(design, y)
+        fit = fit_semiparametric(fit_ols(design, y))
         assert isinstance(fit, RegressionFit)
         assert np.max(np.abs(fit.psi_values.mean(axis=0))) <= 1e-6
         assert fit.diagnostics.rcond > 1e-10
@@ -424,8 +454,8 @@ class TestFitSemiparametric:
         y = t + rng.laplace(size=n)
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
-        a = fit_semiparametric(design, y)
-        b = fit_semiparametric(design, y)
+        a = fit_semiparametric(fit_ols(design, y))
+        b = fit_semiparametric(fit_ols(design, y))
         assert np.array_equal(a.params.beta, b.params.beta)
         assert a.params.sigma2 == b.params.sigma2
         assert np.array_equal(a.cov, b.cov)
@@ -438,39 +468,24 @@ class TestFitSemiparametric:
         y = t + rng.laplace(size=n)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        own = fit_semiparametric(design, resp)
 
         def no_refit(*args, **kwargs):
             raise AssertionError("fit_ols called although an OLS fit was given")
 
         monkeypatch.setattr(estimators, "fit_ols", no_refit)
-        reused = fit_semiparametric(design, resp, ols=ols)
-        assert np.array_equal(reused.params.beta, own.params.beta)
-        assert reused.params.sigma2 == own.params.sigma2
-        assert np.array_equal(reused.cov, own.cov)
-        assert reused.diagnostics == own.diagnostics
+        fit = fit_semiparametric(ols)
+        assert isinstance(fit, RegressionFit)
+        assert fit.design is ols.design
+        assert fit.response is ols.response
 
-    def test_ols_fit_of_another_design_rejected(self):
+    def test_semiparametric_fit_as_ols_rejected(self):
         rng = np.random.default_rng(14)
-        t = (rng.random(40) < 0.5).astype(float)
-        x1 = rng.standard_normal(40)
-        y = t + rng.standard_normal(40)
-        design, resp = simple_design(t, y)
-        ds = dataset_from_arrays(T=t, X1=x1, Y=y)
-        wider = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=("X1",)))
-        with pytest.raises(EstimationError, match="least-squares fit of the same design"):
-            fit_semiparametric(design, resp, ols=fit_ols(wider, y))
-
-    def test_ols_fit_of_another_response_or_values_rejected(self):
-        # Same shapes, so only the values tell these fits from the right one.
-        rng = np.random.default_rng(15)
-        t = (rng.random(40) < 0.5).astype(float)
-        y = t + rng.standard_normal(40)
-        design, resp = simple_design(t, y)
-        shifted, _ = simple_design(1.0 - t, y)
-        for wrong in (fit_ols(design, resp + 1.0), fit_ols(shifted, resp)):
-            with pytest.raises(EstimationError, match="same design and response"):
-                fit_semiparametric(design, resp, ols=wrong)
+        t = (rng.random(60) < 0.5).astype(float)
+        design, resp = simple_design(t, t + rng.laplace(size=60))
+        semi = fit_semiparametric(fit_ols(design, resp))
+        assert isinstance(semi, RegressionFit)
+        with pytest.raises(EstimationError, match="least-squares fit"):
+            fit_semiparametric(semi)
 
     def test_too_small_sample_rejected(self):
         t = np.array([0.0, 1.0] * 5)
@@ -478,7 +493,7 @@ class TestFitSemiparametric:
         ds = dataset_from_arrays(T=t, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         with pytest.raises(EstimationError, match="p \\+ 10"):
-            fit_semiparametric(design, y)
+            fit_semiparametric(fit_ols(design, y))
 
 
 def central_diff(fn, x, step_rel=1e-5):
@@ -628,7 +643,7 @@ class TestExactJacobians:
     @pytest.mark.parametrize("law", ERROR_LAWS)
     def test_frozen_jacobian_matches_oracle(self, law):
         design, y = law_design(law, 1)
-        fit = fit_semiparametric(design, y)
+        fit = fit_semiparametric(fit_ols(design, y))
         assert isinstance(fit, RegressionFit)
         oracle = central_diff(frozen_mean_psi_oracle(design, y, fit.params), fit.params.as_vector())
         assert rel_err(fit.jacobian_A, oracle) <= 1e-6

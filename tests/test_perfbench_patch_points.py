@@ -49,3 +49,21 @@ def test_traced_semiparametric_mediate_counts_kernel_elements():
     calls = metrics["estimators.semiparam_psi.calls"]
     assert calls > 0
     assert metrics["estimators.kernel_elements"] == calls * n**2
+
+
+def test_traced_mediate_both_fits_each_model_by_least_squares_once():
+    rng = np.random.default_rng(4)
+    n = 60
+    t = (rng.random(n) < 0.5).astype(float)
+    m = 0.5 * t + rng.laplace(size=n)
+    y = 0.3 * t + 0.6 * m + 0.2 * t * m + rng.laplace(size=n)
+    data = dataset_from_arrays(T=t, M=m, Y=y)
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed():
+        mediate(data, treatment="T", mediator="M", outcome="Y", interaction=True, method="both")
+    metrics = TRACING_MODULE.layer_metrics(tracer.spans, workers=1)
+    assert sum(1 for s in tracer.spans if s.name == "estimators.fit_ols") == 2
+    calls = metrics["estimators.fit_semiparametric.calls"]
+    assert calls == 2
+    per_start = sum(metrics[f"estimators.fit_semiparametric.start_{i}"] for i in TRACING_MODULE.START_INDICES)
+    assert per_start == calls - metrics["estimators.fit_semiparametric.failures"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from semimediation.simulation import (
     aggregate_metrics,
     generate_interaction_dataset,
     power_config,
-    read_metrics_csv,
     run_power_study,
     run_replicates,
     run_scenario,
@@ -175,8 +175,14 @@ class TestRunScenario:
         _, rows, _ = small_run
         path = tmp_path / "metrics.csv"
         write_metrics_csv(str(path), rows)
-        back = read_metrics_csv(str(path))
-        assert back == rows
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *records = csv.reader(fh)
+        assert header == ["scenario", "method", "effect", "bias", "rmse", "coverage", "avg_length", "success_rate", "reps_used"]
+        assert len(records) == len(rows)
+        for record, row in zip(records, rows):
+            fields = dataclasses.astuple(row)
+            assert record[:3] == list(fields[:3])
+            assert [float(cell) for cell in record[3:]] == list(fields[3:])
 
     def test_failed_replicates_counted_not_dropped(self):
         results = [
