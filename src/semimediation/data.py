@@ -7,8 +7,10 @@ Every estimator in this package works on a :class:`DesignMatrix` built from a
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,54 +118,132 @@ class DesignMatrix:
 def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
-    When ``columns`` is given, only those columns are parsed and retained.
-    Rows with a missing or unparseable cell in any retained column are dropped;
-    the drop count is logged and stored on the returned Dataset.
+    When ``columns`` is given, only those columns are parsed and retained; a
+    retained name that occurs more than once in the header is an error. Blank
+    lines are skipped, and a row whose cell count differs from the header's is
+    an error naming its line. Rows with a missing, unparseable or non-finite
+    cell in any retained column are dropped; the drop count is logged and
+    stored on the returned Dataset.
+
+    The row-by-row ``csv.reader`` loop defines this behaviour. A file on which
+    one numpy parse provably gives the same result is read that way instead;
+    every other file goes through the loop. The file is read once, so a pipe
+    works as well as a regular file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    names = header if columns is None else list(columns)
+    missing = [c for c in names if c not in header]
+    if missing:
+        raise DataError(f"{path}: columns not found in header: {missing}")
+    duplicated = [c for c in dict.fromkeys(names) if header.count(c) > 1]
+    if duplicated:
+        raise DataError(f"{path}: duplicated header names: {duplicated}")
+    keep = [header.index(c) for c in names]
+
+    reason = "header record spans lines" if reader.line_num != 1 else _bulk_decline_reason(data, len(header))
+    if reason is None:
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if columns is None:
-            keep = list(range(len(header)))
-            names = header
-        else:
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise DataError(f"{path}: columns not found in header: {missing}")
-            keep = [header.index(c) for c in columns]
-            names = list(columns)
-
-        rows: list[list[float]] = []
-        dropped = 0
-        for lineno, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            if len(raw) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, found {len(raw)}")
-            parsed: list[float] = []
-            for i in keep:
-                try:
-                    v = float(raw[i])
-                except ValueError:
-                    break
-                if not math.isfinite(v):
-                    break
-                parsed.append(v)
-            if len(parsed) == len(keep):
-                rows.append(parsed)
-            else:
-                dropped += 1
-
-    if not rows:
+            mat = _parse_bulk(data, keep)
+        except ValueError as exc:
+            reason = str(exc)
+    if reason is None:
+        finite = np.isfinite(mat).all(axis=1)
+        dropped = len(finite) - int(np.count_nonzero(finite))
+        if dropped:
+            mat = mat[finite]
+        logger.debug("%s: bulk route kept %d row(s), dropped %d", path, len(mat), dropped)
+    else:
+        mat, dropped = _parse_rows(path, reader, len(header), keep)
+        logger.debug("%s: rows route kept %d row(s), dropped %d; bulk parse declined: %s", path, len(mat), dropped, reason)
+    if not len(mat):
         raise DataError(f"{path}: no usable rows after filtering ({dropped} dropped)")
     if dropped:
         logger.info("%s: dropped %d row(s) with missing or unparseable cells", path, dropped)
-    mat = np.asarray(rows, dtype=float)
     cols = {name: np.ascontiguousarray(mat[:, j]) for j, name in enumerate(names)}
     return Dataset(tuple(names), cols, mat.shape[0], n_dropped=dropped)
+
+
+def _bulk_decline_reason(data: bytes, width: int) -> str | None:
+    """Why one numpy parse might read these bytes differently from the row loop, or None.
+
+    The header is the first line; the caller has checked that its record ends
+    there. numpy splits every later line at every comma, while ``csv.reader``
+    honours quotes, rejects over-long fields, ends a record at a lone carriage
+    return and, before Python 3.11, rejects NUL bytes. Without any of these,
+    the two split the file into the same cells, and numpy skips blank lines as
+    the loop does, but with ``usecols`` it never checks a row's cell count, so
+    that is checked here. The returned reason names the first problem found.
+    """
+    if b"\0" in data:
+        return "NUL byte"
+    has_cr = b"\r" in data
+    if has_cr and data.count(b"\r") != data.count(b"\r\n"):
+        return "lone carriage return"
+    # numpy skips the header line, so only quotes after it count.
+    body = data.find(b"\n") + 1
+    if body and data.find(b'"', body) != -1:
+        return "quote character"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    lengths = ends - np.concatenate(([0], ends[:-1] + 1))
+    if has_cr:
+        # Every CR precedes an LF, so only a line's last byte can be one.
+        lengths -= buf[ends - 1] == ord("\r")
+    if lengths.max() > csv.field_size_limit():
+        return "line longer than the csv field size limit"
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    # Blank lines are skipped by both parsers.
+    filled = lengths[1:] > 0
+    ragged = np.flatnonzero(filled & (commas[1:] != width - 1))
+    if ragged.size:
+        return f"ragged row at line {ragged[0] + 2}"
+    if not filled.any():
+        return "no data rows"
+    return None
+
+
+def _parse_bulk(data: bytes, keep: list[int]) -> np.ndarray:
+    """Parse the retained columns of every non-blank data row in one numpy call.
+
+    numpy's float conversion accepts a subset of what ``float()`` accepts (no
+    underscores, no non-ASCII digits) and rounds identically, so a cell it
+    parses has the loop's value and any cell it rejects raises ValueError.
+    """
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return np.loadtxt(text, dtype=float, delimiter=",", comments=None, skiprows=1, usecols=keep, ndmin=2)
+
+
+def _parse_rows(path: str, reader: Iterable[list[str]], width: int, keep: list[int]) -> tuple[np.ndarray, int]:
+    """Parse the remaining records one cell at a time; return the kept rows and the drop count."""
+    rows: list[list[float]] = []
+    dropped = 0
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} cells, found {len(raw)}")
+        parsed: list[float] = []
+        for i in keep:
+            try:
+                v = float(raw[i])
+            except ValueError:
+                break
+            if not math.isfinite(v):
+                break
+            parsed.append(v)
+        if len(parsed) == len(keep):
+            rows.append(parsed)
+        else:
+            dropped += 1
+    return np.asarray(rows, dtype=float), dropped
 
 
 def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:

@@ -2,7 +2,8 @@
 
 Each test prints one line ``ACCEPTANCE <k>: PASS|FAIL|SKIP`` (run pytest with
 ``-s`` to see the lines as they happen). The Monte Carlo criteria share
-session-scoped 1000-replicate runs; expect roughly ten minutes total.
+session-scoped 1000-replicate runs; the suite takes about 37 s of wall time
+on a 2-vCPU VM with Python 3.11 and numpy 2.4.
 
 Criterion 3 needs the public uis and jobs CSV files. They are not bundled;
 place them under ./data (or point SEMIMEDIATION_DATA at a directory) with
