@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -140,6 +141,49 @@ class TestKernelScore:
             semiparam_psi(design, np.arange(5.0), ParameterPoint(np.zeros(1), 1.0))
 
 
+def direct_score_oracle(e, h):
+    """Leave-one-out clamped, clipped kernel score from per-point loops."""
+    n = e.size
+    dens = np.empty(n)
+    scores = np.empty(n)
+    for i in range(n):
+        num = den = 0.0
+        for k in range(n):
+            if k == i:
+                continue
+            u = (e[i] - e[k]) / h
+            w = math.exp(-0.5 * u * u)
+            den += w
+            num += -u * w / h
+        dens[i] = den
+        scores[i] = num / den
+    floor = 1e-3 * dens.max()
+    for i in range(n):
+        if dens[i] < floor:
+            j = min((k for k in range(n) if dens[k] >= floor), key=lambda k: abs(e[i] - e[k]))
+            scores[i] = scores[j]
+    return np.clip(scores, -10 / h, 10 / h)
+
+
+def direct_psi_oracle(design, y, point):
+    """Adaptive-score rows at ``point`` from the direct score oracle."""
+    X = design.values
+    e = y - X @ point.beta
+    sc = direct_score_oracle(e, 1.06 * np.std(e, ddof=1) * e.size ** (-0.2))
+    sc = sc - sc.mean()
+    oracle = np.empty((e.size, design.p + 1))
+    oracle[:, 0] = e
+    for j in range(1, design.p):
+        oracle[:, j] = (X[:, j] - X[:, j].mean()) * sc
+    oracle[:, design.p] = e * e - point.sigma2
+    return oracle
+
+
+def block_bytes(n, rows):
+    """A ``KERNEL_BLOCK_BYTES`` value that makes the kernel pass use blocks of ``rows`` rows."""
+    return 16 * n * rows
+
+
 class TestSemiparamPsi:
     def test_intercept_row_mean_zero_at_ols(self):
         rng = np.random.default_rng(3)
@@ -157,40 +201,12 @@ class TestSemiparamPsi:
         ds = dataset_from_arrays(T=t, M=m, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M"))
         point = ParameterPoint(np.array([0.05, 0.3, 0.4]), 0.2)
-        psi, _, _ = semiparam_psi(design, y, point)
-
-        # oracle: direct per-point kernel sums, own point left out
-        X = design.values
-        n = len(y)
-        e = y - X @ point.beta
-        h = 1.06 * np.std(e, ddof=1) * n ** (-0.2)
-        dens = np.empty(n)
-        scores = np.empty(n)
-        for i in range(n):
-            num = den = 0.0
-            for k in range(n):
-                if k == i:
-                    continue
-                u = (e[i] - e[k]) / h
-                w = math.exp(-0.5 * u * u)
-                den += w
-                num += -u * w / h
-            dens[i] = den
-            scores[i] = num / den
-        floor = 1e-3 * dens.max()
-        for i in range(n):
-            if dens[i] < floor:
-                j = min((k for k in range(n) if dens[k] >= floor), key=lambda k: abs(e[i] - e[k]))
-                scores[i] = scores[j]
-        scores = np.clip(scores, -10 / h, 10 / h)
-        sc = scores - scores.mean()
-        oracle = np.empty((n, 4))
-        oracle[:, 0] = e
-        for j in (1, 2):
-            xc = X[:, j] - X[:, j].mean()
-            oracle[:, j] = xc * sc
-        oracle[:, 3] = e * e - point.sigma2
-        assert np.max(np.abs(psi - oracle)) < 1e-8
+        oracle = direct_psi_oracle(design, y, point)
+        # Blocks of one row, of 7 rows (a block edge inside the data) and of all rows.
+        for rows in (1, 7, y.size):
+            with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(y.size, rows)):
+                psi, _, _ = semiparam_psi(design, y, point)
+            assert np.max(np.abs(psi - oracle)) < 1e-8
 
     def test_score_values_centered(self):
         rng = np.random.default_rng(4)
@@ -689,3 +705,75 @@ class TestExactJacobians:
         _, J, A = semiparam_psi(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-5
         assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())) <= 1e-5
+
+
+# GEMM sums may round differently from one block size to another. The kernel
+# pass's outputs must agree across block sizes to this relative tolerance.
+BLOCK_RTOL = 1e-12
+
+
+class TestKernelBlocks:
+    """The row-blocked kernel pass against direct oracles and across block sizes."""
+
+    # Residuals 11 bandwidths apart at h = 0.1: the two end points (rows 0 and
+    # 7) are clipped, and the outliers 15 bandwidths out (rows 6 and 13) are
+    # clamped. With 7-row blocks each sits on a block edge.
+    EDGE_RESIDUALS = np.array([12.1, 1.1, 2.2, 3.3, 4.4, 5.5, 13.6, 0.0, 6.6, 7.7, 8.8, 9.9, 11.0, -1.5])
+
+    def test_edge_residuals_are_clamped_and_clipped_at_block_edges(self):
+        e, h = self.EDGE_RESIDUALS, 0.1
+        u = (e[:, None] - e[None, :]) / h
+        K = np.exp(-0.5 * u * u)
+        np.fill_diagonal(K, 0.0)
+        S0, S1 = K.sum(axis=1), (u * K).sum(axis=1)
+        ok = S0 >= 1e-3 * S0.max()
+        assert np.flatnonzero(~ok).tolist() == [6, 13]
+        assert np.flatnonzero(ok & (np.abs(S1 / np.where(ok, S0, 1.0)) > 10.0)).tolist() == [0, 7]
+
+    @pytest.mark.parametrize("rows", [1, 7, EDGE_RESIDUALS.size])
+    def test_clamped_and_clipped_edges_match_oracles(self, rows):
+        e, h = self.EDGE_RESIDUALS, 0.1
+        design, y, point = design_with_residuals(e, 8)
+        with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(e.size, rows)):
+            score = estimators._kernel_score(e, h, design.values, np.zeros(design.p))[0]
+            errors = TestExactJacobians.fixed_bandwidth_errors(design, y, point, h, step_rel=1e-6)
+        assert rel_err(score, direct_score_oracle(e, h)) <= BLOCK_RTOL
+        assert score[6] == score[0] and score[13] == score[7]
+        assert max(errors) <= 1e-6
+
+    def test_block_sizes_agree(self):
+        # The edge residuals through the kernel pass, and a 120-row design
+        # (whose last 7-row block has one row) through rows, J and A.
+        e, h = self.EDGE_RESIDUALS, 0.1
+        rng = np.random.default_rng(10)
+        X = np.column_stack([np.ones(e.size), rng.standard_normal((e.size, 2))])
+        dh = rng.standard_normal(3)
+        design, y = law_design(ASYMMETRIC_MIXTURE, 3)
+        point = fit_ols(design, y).params
+        cases = [
+            (e.size, lambda: estimators._kernel_score(e, h, X, dh)),
+            (y.size, lambda: semiparam_psi(design, y, point)),
+        ]
+        for n, call in cases:
+            outputs = []
+            for rows in (1, 7, n):
+                with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(n, rows)):
+                    outputs.append(call())
+            for other in outputs[:2]:
+                for got, want in zip(other, outputs[2]):
+                    assert rel_err(got, want) <= BLOCK_RTOL
+
+    def test_memory_is_bounded_by_the_block_budget(self):
+        # Three dense 4000 x 4000 float64 arrays would take 384 MB; the blocked
+        # pass holds its 2-buffer budget plus arrays of n x (p + 1) floats.
+        design, y = law_design(ASYMMETRIC_MIXTURE, 4, n=4000)
+        point = fit_ols(design, y).params
+        n, p = design.values.shape
+        tracemalloc.start()
+        try:
+            semiparam_psi(design, y, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimators.KERNEL_BLOCK_BYTES + 16 * 8 * n * (p + 1)
+
