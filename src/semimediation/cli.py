@@ -122,7 +122,8 @@ def build_mediate_report(args: argparse.Namespace, result: MediationResult, n_dr
 
 
 def cmd_mediate(args: argparse.Namespace) -> int:
-    covariates = tuple(c for c in (args.covariates.split(",") if args.covariates else []) if c)
+    # load_csv strips header names, so the requested names are stripped too.
+    covariates = tuple(filter(None, (c.strip() for c in args.covariates.split(","))))
     referenced = [args.treatment, args.mediator, args.outcome, *covariates]
     try:
         dataset = load_csv(args.data, columns=referenced)

@@ -2,6 +2,8 @@
 
 Every estimator in this package works on a :class:`DesignMatrix` built from a
 :class:`Dataset` and a :class:`ModelSpec`; this module owns validation of both.
+A design matrix only assembles columns and their roles: a rank-deficient or
+ill-conditioned design is rejected by the least-squares fit, not here.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-# Relative singular-value cutoff for rank checks, on the same scale as the
-# solver's reciprocal-condition-number screen.
-RANK_RTOL = 1e-10
 
 ROLE_INTERCEPT = "intercept"
 ROLE_TREATMENT = "treatment"
@@ -250,7 +248,8 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:
     """Assemble [intercept, treatment, mediator?, interaction?, covariates...].
 
     The interaction column is the exact elementwise product of the treatment
-    and mediator columns. Raises on rank deficiency.
+    and mediator columns. Only the specification is validated here; whether
+    the columns can be fitted is decided by the fit (``fit_ols``).
     """
     spec.validate(dataset)
     cols: list[np.ndarray] = [np.ones(dataset.n)]
@@ -273,10 +272,6 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:
         roles.append(ROLE_COVARIATE)
 
     values = np.column_stack(cols)
-    svals = np.linalg.svd(values, compute_uv=False)
-    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
-    if rank < values.shape[1]:
-        raise DataError(f"design matrix is rank-deficient (rank {rank} < p {values.shape[1]})")
     return DesignMatrix(values, tuple(roles), values.shape[1])
 
 

@@ -3,7 +3,9 @@
 Two fitting routes share a single estimating-function interface:
 
 * ``fit_ols`` solves least squares and evaluates the moment rows
-  ``(x_ij * e_i, e_i^2 - sigma2)``.
+  ``(x_ij * e_i, e_i^2 - sigma2)``. It is the one place that decides whether
+  a design can be fitted: its ``A`` must have reciprocal condition number
+  above ``RCOND_MIN``.
 * ``fit_semiparametric`` solves the adaptive score equations -- intercept row
   ``e_i``, slope rows ``(x_ij - xbar_j) * shat(e_i)`` with ``shat`` the
   centered kernel-estimated log-density derivative of the residuals, variance
@@ -43,7 +45,8 @@ NEWTON_STEP_TOL = 1e-10
 MAX_STEP_HALVINGS = 10
 ACCEPT_PSI_MEAN_TOL = 1e-6
 
-# Root screens: the reciprocal-condition floor of the sandwich A, the largest
+# The reciprocal-condition floor of every sandwich A: a least-squares design
+# below it is rejected, and so is a root. The other root screens: the largest
 # variance relative to least squares, the absolute coefficient cap, and the
 # largest coefficient deviation from least squares in units of
 # max(1, |beta_ols|).
@@ -158,23 +161,19 @@ def sandwich_covariance(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def ols_psi(design: DesignMatrix, response: np.ndarray, point: ParameterPoint) -> np.ndarray:
-    """Least-squares moment rows (x_ij * e_i, e_i^2 - sigma2)."""
-    X = design.values
-    e = response - X @ point.beta
-    psi = np.empty((X.shape[0], design.p + 1))
-    psi[:, : design.p] = X * e[:, None]
-    psi[:, design.p] = e * e - point.sigma2
-    return psi
-
-
 def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     """Least-squares fit with sandwich (HC0-style) coefficient covariance.
 
-    ``sigma2`` is the usual RSS/(n-p); the variance moment row therefore does
-    not average to zero exactly, but the coefficient block of the sandwich is
-    unaffected because the averaged Jacobian
-    ``[[-X'X/n, 0], [-2 mean(e x)', -1]]`` is block-triangular in sigma2.
+    The moment rows are ``(x_ij * e_i, e_i^2 - sigma2)``. ``sigma2`` is the
+    usual RSS/(n-p); the variance moment row therefore does not average to
+    zero exactly, but the coefficient block of the sandwich is unaffected
+    because the averaged Jacobian ``A = [[-X'X/n, 0], [-2 mean(e x)', -1]]``
+    is block-triangular in sigma2.
+
+    This is where a design is judged: ``A`` is singular exactly when X is
+    rank-deficient, and a design whose ``A`` has reciprocal condition number
+    not above ``RCOND_MIN`` (rank-deficient or ill-conditioned) raises
+    :class:`EstimationError`, so every later step may invert ``A``.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
@@ -183,26 +182,28 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
         raise EstimationError(f"response has shape {y.shape}, expected ({n},)")
     if n <= p:
         raise EstimationError(f"need n > p for least squares (n={n}, p={p})")
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < p:
-        raise EstimationError("design matrix is rank-deficient")
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     e = y - X @ beta
     sigma2 = float(e @ e) / (n - p)
-    point = ParameterPoint(beta, sigma2)
-    psi = ols_psi(design, y, point)
     A = np.zeros((p + 1, p + 1))
     A[:p, :p] = -(X.T @ X) / n
     A[p, :p] = -2.0 * (e @ X) / n
     A[p, p] = -1.0
+    rcond = reciprocal_condition(A)
+    if not (rcond > RCOND_MIN):
+        raise EstimationError(f"design matrix is rank-deficient or ill-conditioned (rcond={rcond:.3g})")
+    psi = np.empty((n, p + 1))
+    psi[:, :p] = X * e[:, None]
+    psi[:, p] = e * e - sigma2
     B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
     diag = FitDiagnostics(
         start_index_used=None,
         iterations=0,
         residual_norm=float(np.max(np.abs(psi.mean(axis=0)))),
-        rcond=reciprocal_condition(A),
+        rcond=rcond,
     )
-    return RegressionFit(point, "ols", psi, A, cov, diag, design, y)
+    return RegressionFit(ParameterPoint(beta, sigma2), "ols", psi, A, cov, diag, design, y)
 
 
 def _kernel_score(

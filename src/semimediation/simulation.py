@@ -166,21 +166,20 @@ def generate_interaction_dataset(config: ScenarioConfig, replicate_index: int) -
     return dataset_from_arrays(T=t, M=m, Y=y)
 
 
-def _run_replicate(config: ScenarioConfig, index: int, methods: tuple[str, ...]) -> list[ReplicateResult]:
+def _run_replicate(config: ScenarioConfig, index: int) -> list[ReplicateResult]:
+    """Both methods' results on one replicate, least squares first."""
     n_eff = len(INTERACTION_EFFECTS)
     nan = np.full(n_eff, np.nan)
     data = generate_interaction_dataset(config, index)
     try:
-        result: MediationResult | None = mediate(
-            data, "T", "M", "Y", covariates=(), interaction=True, method="both" if len(methods) > 1 else methods[0]
-        )
+        result: MediationResult | None = mediate(data, "T", "M", "Y", covariates=(), interaction=True)
     except (EstimationError, InferenceError, DataError, np.linalg.LinAlgError):
         # A numerical or input failure of this replicate; anything else is a
         # bug and propagates.
         result = None
     out: list[ReplicateResult] = []
-    for m in methods:
-        mr = result.methods.get(m) if result is not None else None
+    for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
+        mr = result.methods[m] if result is not None else None
         if mr is not None and mr.effects is not None:
             eff = mr.effects
             out.append(ReplicateResult(index, m, True, eff.values, eff.ci_lower, eff.ci_upper))
@@ -189,30 +188,20 @@ def _run_replicate(config: ScenarioConfig, index: int, methods: tuple[str, ...])
     return out
 
 
-def run_replicates(
-    config: ScenarioConfig,
-    methods: tuple[str, ...] = (METHOD_OLS, METHOD_SEMIPARAMETRIC),
-    workers: int = 1,
-) -> list[ReplicateResult]:
+def run_replicates(config: ScenarioConfig, workers: int = 1) -> list[ReplicateResult]:
     """All replicate results, ordered by (replicate, method) regardless of workers."""
     if workers <= 1:
-        chunks = [_run_replicate(config, i, methods) for i in range(config.reps)]
+        chunks = [_run_replicate(config, i) for i in range(config.reps)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda i: _run_replicate(config, i, methods), range(config.reps)))
+            chunks = list(pool.map(lambda i: _run_replicate(config, i), range(config.reps)))
     return [r for chunk in chunks for r in chunk]
 
 
-def aggregate_metrics(
-    scenario: str,
-    results: list[ReplicateResult],
-    truth: np.ndarray,
-    reps: int,
-    methods: tuple[str, ...] = (METHOD_OLS, METHOD_SEMIPARAMETRIC),
-) -> list[MetricsRow]:
-    """Scorecard over successful replicates; reps_used records how many."""
+def aggregate_metrics(scenario: str, results: list[ReplicateResult], truth: np.ndarray, reps: int) -> list[MetricsRow]:
+    """Scorecard per method over successful replicates; reps_used records how many."""
     rows: list[MetricsRow] = []
-    for m in methods:
+    for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
         ok = [r for r in results if r.method == m and r.success]
         n_ok = len(ok)
         success_rate = n_ok / reps
@@ -239,21 +228,17 @@ def aggregate_metrics(
     return rows
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    workers: int = 1,
-    methods: tuple[str, ...] = (METHOD_OLS, METHOD_SEMIPARAMETRIC),
-) -> tuple[list[MetricsRow], list[ReplicateResult]]:
+def run_scenario(config: ScenarioConfig, workers: int = 1) -> tuple[list[MetricsRow], list[ReplicateResult]]:
     """Run one simulation scenario end to end.
 
     Returns the metrics table and the per-replicate log. Pervasive failure
     (success rate below 0.5 for a method) is logged as a warning; nothing is
     raised.
     """
-    results = run_replicates(config, methods, workers)
+    results = run_replicates(config, workers)
     truth = config.dgp.truth()
-    rows = aggregate_metrics(config.error.law, results, truth, config.reps, methods)
-    for m in methods:
+    rows = aggregate_metrics(config.error.law, results, truth, config.reps)
+    for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
         rate = next(r.success_rate for r in rows if r.method == m)
         if rate < 0.5:
             logger.warning("scenario %s: pervasive failure for %s (success rate %.3f)", config.error.law, m, rate)
@@ -300,7 +285,7 @@ def power_config(reps: int, seed: int, n: int = POWER_N, dgp: DgpConstants = POW
 
 def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:
     """Fraction of replicates whose ACME(0) 95% interval excludes zero, per method."""
-    results = run_replicates(config, (METHOD_OLS, METHOD_SEMIPARAMETRIC), workers)
+    results = run_replicates(config, workers)
     acme0 = INTERACTION_EFFECTS.index("ACME(0)")
     summaries: dict[str, PowerMethodSummary] = {}
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):

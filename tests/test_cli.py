@@ -107,6 +107,52 @@ class TestMediateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_spaces_around_covariate_names_ignored(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 60
+        t = (rng.random(n) < 0.5).astype(float)
+        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+        m = 0.3 + 0.5 * t + 0.2 * x1 + rng.standard_normal(n)
+        y = 0.1 + 0.4 * t - 0.6 * m + 0.3 * x2 + rng.standard_normal(n)
+        path = tmp_path / "two_covariates.csv"
+        rows = ["T,M,Y,X1,X2"] + [",".join(repr(float(v)) for v in row) for row in zip(t, m, y, x1, x2)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        reports = []
+        for i, covariates in enumerate(["X1,X2", "X1, X2", " X1 , X2,"]):
+            out = tmp_path / f"r{i}.json"
+            code = main(
+                [
+                    "mediate", "--data", str(path), "--treatment", "T", "--mediator", "M",
+                    "--outcome", "Y", "--covariates", covariates, "--method", "ols", "--out", str(out),
+                ]
+            )
+            assert code == 0
+            reports.append(strip_timestamp(load_report(out)))
+        assert reports[0]["model"]["covariates"] == ["X1", "X2"]
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_collinear_covariate_exits_2_naming_rcond(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        n = 60
+        t = (rng.random(n) < 0.5).astype(float)
+        x1 = rng.standard_normal(n)
+        m = 0.3 + 0.5 * t + rng.standard_normal(n)
+        y = 0.1 + 0.4 * t - 0.6 * m + rng.standard_normal(n)
+        path = tmp_path / "collinear.csv"
+        rows = ["T,M,Y,X1,X2"] + [",".join(repr(float(v)) for v in row) for row in zip(t, m, y, x1, 3.0 * x1)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "never.json"
+        code = main(
+            [
+                "mediate", "--data", str(path), "--treatment", "T", "--mediator", "M",
+                "--outcome", "Y", "--covariates", "X1,X2", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rank-deficient or ill-conditioned" in err and "rcond=" in err
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(
             [

@@ -82,6 +82,22 @@ class TestFitOls:
         with pytest.raises(EstimationError, match="n > p"):
             fit_ols(design, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "covariates",
+        [("X1", "DUP"), ("ZERO",), ("TWO_M",)],
+        ids=["duplicated-column", "all-zero-covariate", "twice-the-mediator"],
+    )
+    def test_rank_deficiency_rejected(self, covariates):
+        rng = np.random.default_rng(3)
+        n = 40
+        t = (rng.random(n) < 0.5).astype(float)
+        m = rng.standard_normal(n)
+        x1 = rng.standard_normal(n)
+        ds = dataset_from_arrays(T=t, M=m, Y=rng.standard_normal(n), X1=x1, DUP=x1.copy(), ZERO=np.zeros(n), TWO_M=2.0 * m)
+        design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M", covariates=covariates))
+        with pytest.raises(EstimationError, match="rank-deficient"):
+            fit_ols(design, ds.column("Y"))
+
     def test_sandwich_is_hc0_for_coefficients(self):
         rng = np.random.default_rng(7)
         n = 120

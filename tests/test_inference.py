@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimediation import estimators, inference
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
-from semimediation.estimators import fit_ols, fit_semiparametric, sandwich_covariance
+from semimediation.estimators import EstimationError, fit_ols, fit_semiparametric, sandwich_covariance
 from semimediation.inference import (
     InferenceError,
     StackedFit,
@@ -396,6 +396,49 @@ class TestMediate:
     def test_unknown_method_rejected(self, laplace_mediation_data):
         with pytest.raises(InferenceError, match="unknown method"):
             mediate(laplace_mediation_data, "T", "M", "Y", method="bogus")
+
+
+def near_collinear_data(delta):
+    """Mediation data with two covariates, X2 = X1 + delta * z: collinear at delta = 0."""
+    rng = np.random.default_rng(8)
+    n = 200
+    t = (rng.random(n) < 0.5).astype(float)
+    x1 = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    m = 0.3 + 0.5 * t + 0.2 * x1 + rng.standard_normal(n)
+    y = 0.1 + 0.4 * t - 0.6 * m + 0.3 * x1 + rng.standard_normal(n)
+    return dataset_from_arrays(T=t, M=m, Y=y, X1=x1, X2=x1 + delta * z)
+
+
+class TestDesignConditioning:
+    """Whether a design can be fitted is decided once, by the least-squares fit."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(delta=0.0)
+    @example(delta=1e-6)
+    @given(delta=st.floats(min_value=0.0, max_value=1.0))
+    def test_ols_rejects_or_returns_finite_intervals(self, delta):
+        try:
+            res = mediate(near_collinear_data(delta), "T", "M", "Y", covariates=("X1", "X2"), method="ols")
+        except EstimationError as exc:
+            assert "rank-deficient or ill-conditioned" in str(exc)
+            return
+        eff = res.effects("ols")
+        assert np.all(np.isfinite(eff.ci_lower)) and np.all(np.isfinite(eff.ci_upper))
+
+    def test_semiparametric_rejected_before_any_kernel_pass(self, monkeypatch):
+        calls = []
+        real_psi = estimators.semiparam_psi
+
+        def counting_psi(*args):
+            calls.append(1)
+            return real_psi(*args)
+
+        monkeypatch.setattr(estimators, "semiparam_psi", counting_psi)
+        data = near_collinear_data(1e-6)
+        with pytest.raises(EstimationError, match="rcond="):
+            mediate(data, "T", "M", "Y", covariates=("X1", "X2"), interaction=True, method="semiparametric")
+        assert calls == []
 
 
 def test_embed_jacobian_pads_with_zeros():

@@ -189,7 +189,7 @@ class TestRunScenario:
             sim.ReplicateResult(0, "ols", True, np.ones(5), np.zeros(5), np.full(5, 2.0)),
             sim.ReplicateResult(1, "ols", False, np.full(5, np.nan), np.full(5, np.nan), np.full(5, np.nan)),
         ]
-        rows = aggregate_metrics("gaussian", results, np.ones(5), reps=2, methods=("ols",))
+        rows = aggregate_metrics("gaussian", results, np.ones(5), reps=2)
         assert rows[0].success_rate == 0.5
         assert rows[0].reps_used == 1
         assert rows[0].coverage == 1.0
