@@ -122,7 +122,8 @@ def build_mediate_report(args: argparse.Namespace, result: MediationResult, n_dr
 
 
 def cmd_mediate(args: argparse.Namespace) -> int:
-    # load_csv strips header names, so the requested names are stripped too.
+    # load_csv strips header names, so the requested names are stripped too:
+    # the covariates here, the other three by their argument type.
     covariates = tuple(filter(None, (c.strip() for c in args.covariates.split(","))))
     referenced = [args.treatment, args.mediator, args.outcome, *covariates]
     try:
@@ -336,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_med = sub.add_parser("mediate", help="estimate mediation effects from a CSV dataset")
     p_med.add_argument("--data", required=True, help="CSV file with a header row")
-    p_med.add_argument("--treatment", required=True)
-    p_med.add_argument("--mediator", required=True)
-    p_med.add_argument("--outcome", required=True)
+    p_med.add_argument("--treatment", required=True, type=str.strip)
+    p_med.add_argument("--mediator", required=True, type=str.strip)
+    p_med.add_argument("--outcome", required=True, type=str.strip)
     p_med.add_argument("--covariates", default="", help="comma-separated covariate column names")
     p_med.add_argument("--interaction", action="store_true", help="include the treatment*mediator term")
     p_med.add_argument("--method", choices=["ols", "semi", "both"], default="both")

@@ -12,8 +12,10 @@ Two fitting routes share a single estimating-function interface:
   row ``e_i^2 - sigma2`` -- by damped Newton iteration from five deterministic
   starting points, screening implausible roots.
 
-Both return per-observation estimating-function values, the averaged Jacobian
-``A`` and the sandwich covariance ``A^-1 B A^-T / n``. Every Jacobian is exact
+Both return their parameters, the per-observation estimating-function values
+and the averaged Jacobian ``A``, and nothing more: the sandwich covariance is
+formed once, over the stacked rows of both models, by
+``inference.stack_fits``. Every Jacobian is exact
 and closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``,
 and one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
@@ -22,9 +24,7 @@ buffers, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
 O(n p), never O(n^2). ``fit_semiparametric`` reads its design and response
 from the least-squares fit that seeds its starts, and Newton hands back the
 rows and ``A`` of its evaluation at the root together with the root, so no
-kernel pass follows the solve. Downstream inference stacks the fits' ``psi_values`` and
-``jacobian_A`` across the mediator and outcome models without re-evaluating
-either.
+kernel pass follows the solve.
 """
 
 from __future__ import annotations
@@ -100,17 +100,16 @@ class RegressionFit:
     """A fitted regression with its inferential ingredients.
 
     ``psi_values`` holds the n x (p+1) per-observation estimating-function
-    rows at the solution, ``jacobian_A`` their averaged parameter derivative
-    with any fitted nuisance (the estimated score function) held fixed, and
-    ``cov`` the sandwich covariance of theta. Stacked inference takes
-    ``jacobian_A`` as its diagonal block as is.
+    rows at the solution and ``jacobian_A`` their averaged parameter
+    derivative with any fitted nuisance (the estimated score function) held
+    fixed. Stacked inference takes the rows and ``jacobian_A`` as they are and
+    forms the only covariance from them.
     """
 
     params: ParameterPoint
     method: str
     psi_values: np.ndarray
     jacobian_A: np.ndarray
-    cov: np.ndarray
     diagnostics: FitDiagnostics
     design: DesignMatrix
     response: np.ndarray
@@ -154,21 +153,14 @@ def reciprocal_condition(matrix: np.ndarray) -> float:
     return float(svals[-1] / svals[0])
 
 
-def sandwich_covariance(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
-    """Symmetrized A^-1 B A^-T / n, computed by linear solves."""
-    C = np.linalg.solve(A, B)
-    cov = np.linalg.solve(A, C.T).T / n
-    return (cov + cov.T) / 2.0
-
-
 def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
-    """Least-squares fit with sandwich (HC0-style) coefficient covariance.
+    """Least-squares fit with its moment rows and their averaged Jacobian.
 
     The moment rows are ``(x_ij * e_i, e_i^2 - sigma2)``. ``sigma2`` is the
     usual RSS/(n-p); the variance moment row therefore does not average to
-    zero exactly, but the coefficient block of the sandwich is unaffected
-    because the averaged Jacobian ``A = [[-X'X/n, 0], [-2 mean(e x)', -1]]``
-    is block-triangular in sigma2.
+    zero exactly, but the coefficient block of the sandwich formed from these
+    rows (HC0-style) is unaffected because the averaged Jacobian
+    ``A = [[-X'X/n, 0], [-2 mean(e x)', -1]]`` is block-triangular in sigma2.
 
     This is where a design is judged: ``A`` is singular exactly when X is
     rank-deficient, and a design whose ``A`` has reciprocal condition number
@@ -195,15 +187,13 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     psi = np.empty((n, p + 1))
     psi[:, :p] = X * e[:, None]
     psi[:, p] = e * e - sigma2
-    B = psi.T @ psi / n
-    cov = sandwich_covariance(A, B, n)
     diag = FitDiagnostics(
         start_index_used=None,
         iterations=0,
         residual_norm=float(np.max(np.abs(psi.mean(axis=0)))),
         rcond=rcond,
     )
-    return RegressionFit(ParameterPoint(beta, sigma2), "ols", psi, A, cov, diag, design, y)
+    return RegressionFit(ParameterPoint(beta, sigma2), "ols", psi, A, diag, design, y)
 
 
 def _kernel_score(
@@ -381,7 +371,6 @@ def semiparam_psi(
 def newton_root(
     F: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, Any]],
     x0: np.ndarray,
-    max_iterations: int = MAX_NEWTON_ITERATIONS,
 ) -> NewtonResult:
     """Damped Newton iteration; ``F(x)`` returns the function value, its
     Jacobian and an extra value that Newton only carries.
@@ -399,7 +388,7 @@ def newton_root(
         return NewtonResult(x, extra, 0, float("inf"), False, "non-finite function value at start")
     norm = float(np.max(np.abs(fx)))
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
         if norm < NEWTON_RESIDUAL_TOL:
             return NewtonResult(x, extra, iteration - 1, norm, True)
 
@@ -435,7 +424,7 @@ def newton_root(
         if step_norm < NEWTON_STEP_TOL:
             return NewtonResult(x, extra, iteration, norm, True)
 
-    return NewtonResult(x, extra, max_iterations, norm, False, "maximum iterations reached")
+    return NewtonResult(x, extra, MAX_NEWTON_ITERATIONS, norm, False, "maximum iterations reached")
 
 
 def make_starts(ols: RegressionFit) -> tuple[ParameterPoint, ...]:
@@ -460,11 +449,16 @@ def make_starts(ols: RegressionFit) -> tuple[ParameterPoint, ...]:
 
 def screen_root(
     candidate: ParameterPoint,
-    cov: np.ndarray | None,
     rcond: float,
     ols: RegressionFit,
 ) -> tuple[bool, str | None]:
-    """Accept or reject a converged root; the reason names the first violated rule."""
+    """Accept or reject a converged root; the reason names the first violated rule.
+
+    A root that passes is one whose sandwich is finite: the variance-ratio
+    screen bounds mean(e^2), so its B is finite, and ``rcond > RCOND_MIN``
+    keeps the solves with A finite. ``inference.stack_fits`` still checks the
+    covariance it forms.
+    """
     b = candidate.beta
     b_ols = ols.params.beta
     if not np.all(np.isfinite(b)):
@@ -477,8 +471,6 @@ def screen_root(
         return False, "coefficient magnitude"
     if np.any(np.abs(b - b_ols) > COEF_OLS_DEV_MAX * np.maximum(1.0, np.abs(b_ols))):
         return False, "coefficient deviation"
-    if cov is not None and not np.all(np.isfinite(cov)):
-        return False, "non-finite covariance"
     if not (rcond > RCOND_MIN):
         return False, "condition number"
     return True, None
@@ -491,7 +483,7 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     response are read from it, and it seeds the starts and the screens.
     Starts are tried in their fixed order; the first converged root that
     passes the condition-number and plausibility screens is returned with its
-    sandwich covariance. If none survives, a :class:`FitFailure` records one
+    rows and sandwich ``A``. If none survives, a :class:`FitFailure` records one
     reason per start. Requires n >= p + 10 so the residual score estimate has
     something to work with. A root's rows and sandwich ``A`` come with it from
     Newton, as the extra value of the evaluation there.
@@ -523,14 +515,8 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
         point = ParameterPoint.from_vector(result.root)
         psi, A = result.extra
         rcond = reciprocal_condition(A)
-        cov: np.ndarray | None = None
-        if rcond > RCOND_MIN:
-            B = psi.T @ psi / n
-            cov = sandwich_covariance(A, B, n)
-        accepted, reason = screen_root(point, cov, rcond, ols)
+        accepted, reason = screen_root(point, rcond, ols)
         if accepted:
-            if cov is None:
-                raise RuntimeError(f"start {idx}: root accepted without a sandwich covariance")
             diag = FitDiagnostics(
                 start_index_used=idx,
                 iterations=result.iterations,
@@ -538,6 +524,6 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
                 rcond=rcond,
                 screened_reasons=tuple(reasons),
             )
-            return RegressionFit(point, "semiparametric", psi, A, cov, diag, design, y)
+            return RegressionFit(point, "semiparametric", psi, A, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure("semiparametric", tuple(reasons))

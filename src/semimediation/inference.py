@@ -1,9 +1,11 @@
 """Stacked two-model inference and the causal effect maps.
 
 The mediator fit and the outcome fit are combined into one estimating-equation
-system; its sandwich covariance is pushed through the closed-form effect maps
-(product-of-coefficients without interaction, the treatment-specific extension
-with interaction) by the delta method to produce Wald intervals.
+system. Its sandwich covariance, the only one formed, comes from the fits'
+rows and ``A`` and is checked for finiteness here; it is pushed through the
+closed-form effect maps (product-of-coefficients without interaction, the
+treatment-specific extension with interaction) by the delta method to produce
+Wald intervals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .estimators import (
     RegressionFit,
     fit_ols,
     fit_semiparametric,
-    sandwich_covariance,
 )
 
 # Two-sided 95% normal quantile, fixed for Wald intervals.
@@ -77,11 +78,9 @@ class EffectEstimates:
     kind: str  # "no_interaction" or "interaction"
     names: tuple[str, ...]
     values: np.ndarray
-    jacobian_G: np.ndarray
     cov: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
-    xbar: np.ndarray
 
     @property
     def ci_length(self) -> np.ndarray:
@@ -103,6 +102,13 @@ def _index_map(med_design: DesignMatrix, out_design: DesignMatrix) -> ParameterI
     )
 
 
+def sandwich_covariance(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    """Symmetrized A^-1 B A^-T / n, computed by linear solves."""
+    C = np.linalg.solve(A, B)
+    cov = np.linalg.solve(A, C.T).T / n
+    return (cov + cov.T) / 2.0
+
+
 def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     """Stack the mediator and outcome estimating equations.
 
@@ -110,12 +116,15 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     share no parameters, so A is block diagonal with each fit's own
     ``jacobian_A`` as its block and exact zeros elsewhere; nothing is
     re-evaluated here. B is the averaged outer product, whose cross blocks
-    capture the dependence induced by the shared sample. cov = A^-1 B A^-T / n.
+    capture the dependence induced by the shared sample. cov = A^-1 B A^-T / n
+    is the one sandwich covariance of the pipeline; the fits carry none.
 
     Each block arrives checked: ``fit_ols`` rejects a least-squares ``A``
     and ``fit_semiparametric`` a root's ``A`` whose reciprocal condition
     number is not above ``RCOND_MIN``. The LU solve of a block-diagonal
-    matrix works block by block, so A is not checked again.
+    matrix works block by block, so A is not checked again. A covariance with
+    a non-finite entry (rows large enough to overflow B) raises
+    :class:`InferenceError`.
     """
     if med.n != out.n:
         raise InferenceError(f"fits are on different sample sizes ({med.n} vs {out.n})")
@@ -134,6 +143,8 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     A[d1:, d1:] = out.jacobian_A
     B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
+    if not np.all(np.isfinite(cov)):
+        raise InferenceError("stacked sandwich covariance is not finite")
     return StackedFit(theta, A, B, cov, _index_map(med.design, out.design), n)
 
 
@@ -244,7 +255,6 @@ def delta_intervals(
     G: np.ndarray,
     cov_theta: np.ndarray,
     kind: str,
-    xbar: np.ndarray,
 ) -> EffectEstimates:
     """Propagate the stacked covariance through an effect map: cov = G Sigma G'.
 
@@ -264,11 +274,9 @@ def delta_intervals(
         kind=kind,
         names=names,
         values=np.asarray(values, dtype=float),
-        jacobian_G=G,
         cov=cov,
         ci_lower=values - Z95 * se,
         ci_upper=values + Z95 * se,
-        xbar=np.asarray(xbar, dtype=float),
     )
 
 
@@ -286,7 +294,7 @@ def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray, interaction: boo
         values = effect_map_g0(theta0)
         G = embed_jacobian(jacobian_g0(theta0), positions, idx.dim)
         kind = "no_interaction"
-    return delta_intervals(values, G, stacked.cov, kind, xbar)
+    return delta_intervals(values, G, stacked.cov, kind)
 
 
 @dataclass(frozen=True)
@@ -303,14 +311,6 @@ class MethodResult:
     @property
     def failed(self) -> bool:
         return self.effects is None
-
-    def failure_reasons(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, tuple[str, ...]] = {}
-        if isinstance(self.mediator_fit, FitFailure):
-            out["mediator"] = self.mediator_fit.reasons
-        if isinstance(self.outcome_fit, FitFailure):
-            out["outcome"] = self.outcome_fit.reasons
-        return out
 
 
 @dataclass(frozen=True)

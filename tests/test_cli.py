@@ -131,6 +131,21 @@ class TestMediateCommand:
         assert reports[0]["model"]["covariates"] == ["X1", "X2"]
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
+    def test_spaces_around_role_names_ignored(self, mediation_csv, tmp_path):
+        reports = []
+        for i, (treatment, mediator, outcome) in enumerate([("T", "M", "Y"), (" T", "M ", " Y ")]):
+            out = tmp_path / f"r{i}.json"
+            code = main(
+                [
+                    "mediate", "--data", str(mediation_csv), "--treatment", treatment, "--mediator", mediator,
+                    "--outcome", outcome, "--method", "ols", "--out", str(out),
+                ]
+            )
+            assert code == 0
+            reports.append(strip_timestamp(load_report(out)))
+        assert reports[1]["model"]["treatment"] == "T"
+        assert reports[1] == reports[0]
+
     def test_collinear_covariate_exits_2_naming_rcond(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         n = 60
@@ -274,11 +289,9 @@ class TestForestSvg:
             kind=kind,
             names=names,
             values=vals,
-            jacobian_G=np.zeros((len(vals), 1)),
             cov=np.diag(se**2),
             ci_lower=vals - 1.96 * se,
             ci_upper=vals + 1.96 * se,
-            xbar=np.empty(0),
         )
 
     def test_single_method_structure(self, tmp_path):

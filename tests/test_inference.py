@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from semimediation import estimators, inference
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
-from semimediation.estimators import EstimationError, fit_ols, fit_semiparametric, sandwich_covariance
+from semimediation.estimators import EstimationError, fit_ols, fit_semiparametric
 from semimediation.inference import (
     InferenceError,
     StackedFit,
@@ -17,6 +19,7 @@ from semimediation.inference import (
     jacobian_g0,
     jacobian_g1,
     mediate,
+    sandwich_covariance,
     stack_fits,
 )
 
@@ -151,6 +154,26 @@ class TestSandwichAndStacking:
         assert np.max(np.abs(st_fit.cov[:pm, :pm] - med_oracle)) < 1e-8
         assert np.max(np.abs(st_fit.cov[off : off + po, off : off + po] - out_oracle)) < 1e-8
 
+    def test_diagonal_blocks_are_each_fits_own_sandwich(self, laplace_mediation_data):
+        res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="semiparametric")
+        mr = res.methods["semiparametric"]
+        d1 = mr.mediator_fit.design.p + 1
+        for fit, block in ((mr.mediator_fit, slice(0, d1)), (mr.outcome_fit, slice(d1, None))):
+            A_inv = np.linalg.inv(fit.jacobian_A)
+            B = fit.psi_values.T @ fit.psi_values / fit.n
+            own = A_inv @ B @ A_inv.T / fit.n
+            assert np.max(np.abs(mr.stacked.cov[block, block] - own)) < 1e-10
+
+    def test_nonfinite_covariance_raises(self, laplace_mediation_data):
+        data = laplace_mediation_data
+        med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
+        out = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
+        psi = med.psi_values.copy()
+        psi[0, 0] = 1e200  # its square overflows B
+        # numpy warns of the overflow; the covariance it leads to is refused
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(InferenceError, match="not finite"):
+            stack_fits(dataclasses.replace(med, psi_values=psi), out)
+
     def test_cross_block_matches_empirical_cross_covariance(self):
         rng = np.random.default_rng(9)
         n = 250
@@ -237,7 +260,7 @@ class TestDeltaIntervals:
         values = np.array([1.0, -2.0, 3.0])
         G = np.zeros((3, 4))
         cov = np.eye(4)
-        est = delta_intervals(values, G, cov, "no_interaction", np.empty(0))
+        est = delta_intervals(values, G, cov, "no_interaction")
         assert np.array_equal(est.ci_lower, values)
         assert np.array_equal(est.ci_upper, values)
 
@@ -245,16 +268,16 @@ class TestDeltaIntervals:
         values = np.array([1.0])
         G = np.array([[4.0]])
         cov = np.array([[0.25]])
-        est = delta_intervals(values, G, cov, "no_interaction", np.empty(0))
+        est = delta_intervals(values, G, cov, "no_interaction")
         assert est.ci_upper[0] - est.values[0] == pytest.approx(Z95 * 2.0, abs=1e-9)
         assert est.ci_lower[0] == pytest.approx(1.0 - 3.9199, abs=1e-4)
 
     def test_negative_variance_raises(self):
         with pytest.raises(InferenceError, match="covariance"):
-            delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1.0]]), "no_interaction", np.empty(0))
+            delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1.0]]), "no_interaction")
 
     def test_tiny_negative_clipped(self):
-        est = delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1e-13]]), "no_interaction", np.empty(0))
+        est = delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1e-13]]), "no_interaction")
         assert est.ci_lower[0] == est.ci_upper[0] == 0.0
 
     def test_pipeline_matches_independent_delta_script(self, laplace_mediation_data):
@@ -387,8 +410,7 @@ class TestMediate:
         data = dataset_from_arrays(T=t, M=m, Y=y)
         res = mediate(data, "T", "M", "Y", interaction=False, method="both")
         assert res.methods["semiparametric"].failed
-        reasons = res.methods["semiparametric"].failure_reasons()
-        assert reasons  # at least one model reported its per-start reasons
+        assert len(res.methods["semiparametric"].outcome_fit.reasons) == 5  # one per start
         with pytest.raises(InferenceError, match="failed"):
             res.effects("semiparametric")
         assert res.effects("ols") is not None
