@@ -47,12 +47,10 @@ ACCEPT_PSI_MEAN_TOL = 1e-6
 
 # The reciprocal-condition floor of every sandwich A: a least-squares design
 # below it is rejected, and so is a root. The other root screens: the largest
-# variance relative to least squares, the absolute coefficient cap, and the
-# largest coefficient deviation from least squares in units of
-# max(1, |beta_ols|).
+# variance relative to least squares, and the largest coefficient deviation
+# from least squares in units of max(1, |beta_ols|).
 RCOND_MIN = 1e-10
 SIGMA2_MAX_RATIO = 25.0
-COEF_ABS_MAX = 100.0
 COEF_OLS_DEV_MAX = 15.0
 
 # Kernel-score constants: density floor relative to the peak, and the
@@ -467,8 +465,6 @@ def screen_root(
         return False, "non-positive variance"
     if candidate.sigma2 > SIGMA2_MAX_RATIO * ols.params.sigma2:
         return False, "variance ratio"
-    if np.any(np.abs(b) > COEF_ABS_MAX):
-        return False, "coefficient magnitude"
     if np.any(np.abs(b - b_ols) > COEF_OLS_DEV_MAX * np.maximum(1.0, np.abs(b_ols))):
         return False, "coefficient deviation"
     if not (rcond > RCOND_MIN):

@@ -5,7 +5,9 @@ system. Its sandwich covariance, the only one formed, comes from the fits'
 rows and ``A`` and is checked for finiteness here; it is pushed through the
 closed-form effect maps (product-of-coefficients without interaction, the
 treatment-specific extension with interaction) by the delta method to produce
-Wald intervals.
+Wald intervals. Each map is written once: its Jacobian is taken from the map
+by one exact complex step per parameter, and the interaction map applies
+exactly when the stacked layout has an interaction coefficient.
 """
 
 from __future__ import annotations
@@ -141,38 +143,53 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     A = np.zeros((dim, dim))
     A[:d1, :d1] = med.jacobian_A
     A[d1:, d1:] = out.jacobian_A
-    B = psi.T @ psi / n
+    # Rows that overflow B are reported once, by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
     if not np.all(np.isfinite(cov)):
         raise InferenceError("stacked sandwich covariance is not finite")
     return StackedFit(theta, A, B, cov, _index_map(med.design, out.design), n)
 
 
+def _complex_step_jacobian(f, theta: np.ndarray) -> np.ndarray:
+    """Jacobian of an effect map ``f`` at real ``theta``, one complex step per parameter.
+
+    Im f(theta + i h e_j) / h is the derivative in theta_j up to an O(h^2)
+    term (Squire & Trapp 1998, SIAM Rev. 40:110). The effect maps are affine
+    in each parameter taken alone, so that term is zero, and the power-of-two
+    h makes the division exact: the result is the closed-form gradient bit
+    for bit. Stepping one parameter at a time keeps every sum in the order of
+    the real evaluation, which one batched call would not. Adding 0.0 turns
+    the -0.0 that a negative real part leaves in a structural zero into 0.0.
+    """
+    h = 2.0**-60
+    steps = np.asarray(theta, dtype=float) + 1j * h * np.eye(np.size(theta))
+    return np.column_stack([f(z).imag for z in steps]) / h + 0.0
+
+
 def effect_map_g0(theta: np.ndarray) -> np.ndarray:
-    """(ACME, ADE, ATE) from (beta2, beta3, gamma): the product-of-coefficients map."""
-    beta2, beta3, gamma = np.asarray(theta, dtype=float)
+    """(ACME, ADE, ATE) from (beta2, beta3, gamma): the product-of-coefficients map.
+
+    Complex input is kept complex, for :func:`jacobian_g0`'s complex step.
+    """
+    beta2, beta3, gamma = np.asarray(theta, dtype=complex if np.iscomplexobj(theta) else float)
     return np.array([beta2 * gamma, beta3, beta3 + beta2 * gamma])
 
 
 def jacobian_g0(theta: np.ndarray) -> np.ndarray:
     """3x3 Jacobian of the no-interaction effect map in (beta2, beta3, gamma) order."""
-    beta2, _, gamma = np.asarray(theta, dtype=float)
-    return np.array(
-        [
-            [gamma, 0.0, beta2],
-            [0.0, 1.0, 0.0],
-            [gamma, 1.0, beta2],
-        ]
-    )
+    return _complex_step_jacobian(effect_map_g0, theta)
 
 
 def effect_map_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     """(ACME(0), ACME(1), ADE(0), ADE(1), ATE) from (alpha2, beta2, xi2, beta3, gamma, eta).
 
     The mediator means mu_M(0) = alpha2 + xi2'xbar and mu_M(1) = mu_M(0) + beta2
-    use the empirical covariate mean, treated as fixed.
+    use the empirical covariate mean, treated as fixed. Complex ``theta1`` is
+    kept complex, for :func:`jacobian_g1`'s complex step.
     """
-    theta1 = np.asarray(theta1, dtype=float)
+    theta1 = np.asarray(theta1, dtype=complex if np.iscomplexobj(theta1) else float)
     xbar = np.asarray(xbar, dtype=float)
     q = xbar.size
     alpha2, beta2 = theta1[0], theta1[1]
@@ -197,57 +214,7 @@ def jacobian_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     Rows are the gradients of ACME(0), ACME(1), ADE(0), ADE(1), ATE with
     respect to (alpha2, beta2, xi2, beta3, gamma, eta).
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    q = xbar.size
-    alpha2, beta2 = theta1[0], theta1[1]
-    xi2 = theta1[2 : 2 + q]
-    gamma, eta = theta1[3 + q], theta1[4 + q]
-    mu0 = alpha2 + xi2 @ xbar
-    mu1 = mu0 + beta2
-
-    G = np.zeros((5, 5 + q))
-    # d ACME(0): (0, gamma, 0', 0, beta2, 0)
-    G[0, 1] = gamma
-    G[0, 3 + q] = beta2
-    # d ACME(1): (0, gamma+eta, 0', 0, beta2, beta2)
-    G[1, 1] = gamma + eta
-    G[1, 3 + q] = beta2
-    G[1, 4 + q] = beta2
-    # d ADE(0): (eta, 0, eta*xbar', 1, 0, mu0)
-    G[2, 0] = eta
-    G[2, 2 : 2 + q] = eta * xbar
-    G[2, 2 + q] = 1.0
-    G[2, 4 + q] = mu0
-    # d ADE(1): (eta, eta, eta*xbar', 1, 0, mu1)
-    G[3, 0] = eta
-    G[3, 1] = eta
-    G[3, 2 : 2 + q] = eta * xbar
-    G[3, 2 + q] = 1.0
-    G[3, 4 + q] = mu1
-    # d ATE: (eta, gamma+eta, eta*xbar', 1, beta2, mu1)
-    G[4, 0] = eta
-    G[4, 1] = gamma + eta
-    G[4, 2 : 2 + q] = eta * xbar
-    G[4, 2 + q] = 1.0
-    G[4, 3 + q] = beta2
-    G[4, 4 + q] = mu1
-    return G
-
-
-def embed_jacobian(small: np.ndarray, positions: list[int], dim: int) -> np.ndarray:
-    """Place reduced-parameter gradient columns into the stacked vector, zero-padded."""
-    G = np.zeros((small.shape[0], dim))
-    G[:, positions] = small
-    return G
-
-
-def theta1_from_stacked(theta: np.ndarray, idx: ParameterIndex) -> tuple[np.ndarray, list[int]]:
-    """Extract (alpha2, beta2, xi2, beta3, gamma, eta) and its stacked positions."""
-    if idx.eta is None:
-        raise InferenceError("interaction effect map requires an interaction coefficient")
-    positions = [idx.alpha2, idx.beta2, *idx.xi2, idx.beta3, idx.gamma, idx.eta]
-    return theta[positions], positions
+    return _complex_step_jacobian(lambda v: effect_map_g1(v, xbar), theta1)
 
 
 def delta_intervals(
@@ -280,20 +247,24 @@ def delta_intervals(
     )
 
 
-def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray, interaction: bool) -> EffectEstimates:
-    """Apply the appropriate effect map and delta method to a stacked fit."""
+def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray) -> EffectEstimates:
+    """Apply the model's effect map and the delta method to a stacked fit.
+
+    The interaction map applies exactly when the outcome model has an
+    interaction coefficient; the map's Jacobian columns go to their stacked
+    positions and every other column of G is zero.
+    """
     idx = stacked.index_map
-    if interaction:
-        theta1, positions = theta1_from_stacked(stacked.theta, idx)
-        values = effect_map_g1(theta1, xbar)
-        G = embed_jacobian(jacobian_g1(theta1, xbar), positions, idx.dim)
-        kind = "interaction"
-    else:
+    if idx.eta is None:
         positions = [idx.beta2, idx.beta3, idx.gamma]
-        theta0 = stacked.theta[positions]
-        values = effect_map_g0(theta0)
-        G = embed_jacobian(jacobian_g0(theta0), positions, idx.dim)
-        kind = "no_interaction"
+        theta = stacked.theta[positions]
+        values, J, kind = effect_map_g0(theta), jacobian_g0(theta), "no_interaction"
+    else:
+        positions = [idx.alpha2, idx.beta2, *idx.xi2, idx.beta3, idx.gamma, idx.eta]
+        theta = stacked.theta[positions]
+        values, J, kind = effect_map_g1(theta, xbar), jacobian_g1(theta, xbar), "interaction"
+    G = np.zeros((J.shape[0], idx.dim))
+    G[:, positions] = J
     return delta_intervals(values, G, stacked.cov, kind)
 
 
@@ -383,12 +354,10 @@ def mediate(
 
         if isinstance(med_fit, RegressionFit) and isinstance(out_fit, RegressionFit):
             stacked = stack_fits(med_fit, out_fit)
-            effects = effects_from_stacked(stacked, xbar, interaction)
+            effects = effects_from_stacked(stacked, xbar)
             p_val: float | None = None
-            if interaction:
-                eta_idx = stacked.index_map.eta
-                if eta_idx is None:
-                    raise RuntimeError("interaction model stacked without an interaction coefficient")
+            eta_idx = stacked.index_map.eta
+            if eta_idx is not None:
                 se = math.sqrt(max(stacked.cov[eta_idx, eta_idx], 0.0))
                 p_val = _normal_p_value(stacked.theta[eta_idx] / se) if se > 0 else float("nan")
             results[m] = MethodResult(m, effects, stacked, med_fit, out_fit, p_val)

@@ -304,7 +304,7 @@ def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:
         seed=config.seed,
         error_law=config.error.law,
         dgp=config.dgp,
-        truth_acme0=float(config.dgp.beta2 * config.dgp.gamma),
+        truth_acme0=float(config.dgp.truth()[0]),
         methods=summaries,
     )
 

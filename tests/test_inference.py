@@ -15,13 +15,13 @@ from semimediation.inference import (
     effect_map_g0,
     effect_map_g1,
     effects_from_stacked,
-    embed_jacobian,
     jacobian_g0,
     jacobian_g1,
     mediate,
     sandwich_covariance,
     stack_fits,
 )
+from semimediation.simulation import ERROR_LAWS, ErrorSpec, ScenarioConfig, generate_interaction_dataset
 
 Z95 = 1.959963985
 
@@ -71,6 +71,12 @@ class TestJacobianG0:
             J = jacobian_g0(theta)
             J_fd = central_diff_jacobian(effect_map_g0, theta)
             assert np.max(np.abs(J - J_fd)) < 1e-6
+        # At dyadic points a unit central step is exact, since the map is
+        # affine in each parameter taken alone: the Jacobian must match it
+        # bit for bit.
+        for _ in range(25):
+            theta = rng.integers(-32, 33, 3) / 8.0
+            assert np.array_equal(jacobian_g0(theta), central_diff_jacobian(effect_map_g0, theta, step=1.0))
 
 
 class TestEffectMapG1:
@@ -123,6 +129,12 @@ class TestJacobianG1:
             J = jacobian_g1(theta1, xbar)
             J_fd = central_diff_jacobian(lambda v: effect_map_g1(v, xbar), theta1)
             assert np.max(np.abs(J - J_fd)) < 1e-6
+        # Dyadic points, unit step: exact, as for g0.
+        for _ in range(20):
+            theta1 = rng.integers(-32, 33, 5 + q) / 8.0
+            xbar = rng.integers(-32, 33, q) / 8.0
+            J_fd = central_diff_jacobian(lambda v: effect_map_g1(v, xbar), theta1, step=1.0)
+            assert np.array_equal(jacobian_g1(theta1, xbar), J_fd)
 
 
 class TestSandwichAndStacking:
@@ -170,8 +182,8 @@ class TestSandwichAndStacking:
         out = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
         psi = med.psi_values.copy()
         psi[0, 0] = 1e200  # its square overflows B
-        # numpy warns of the overflow; the covariance it leads to is refused
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(InferenceError, match="not finite"):
+        # One fault, one error: the overflow is refused without a warning.
+        with pytest.raises(InferenceError, match="not finite"):
             stack_fits(dataclasses.replace(med, psi_values=psi), out)
 
     def test_cross_block_matches_empirical_cross_covariance(self):
@@ -381,6 +393,17 @@ class TestMediate:
             assert np.max(np.abs(2 * e1.ci_lower - e2.ci_lower) / np.maximum(1.0, np.abs(e2.ci_lower))) < tol
             assert np.max(np.abs(2 * e1.ci_upper - e2.ci_upper) / np.maximum(1.0, np.abs(e2.ci_upper))) < tol
 
+    @pytest.mark.parametrize("law", ERROR_LAWS)
+    def test_outcome_units_scale_effects(self, law):
+        # The outcome in other units gives the effects in those units, for
+        # every simulated error law, including a factor that moves the
+        # coefficients past 100.
+        data = generate_interaction_dataset(ScenarioConfig(ErrorSpec(law), n=300, reps=1, seed=11), 0)
+        base = mediate(data, "T", "M", "Y", interaction=True, method="semiparametric").effects("semiparametric")
+        for c in (1e-4, 100.0):
+            res = mediate(data.with_scaled_column("Y", c), "T", "M", "Y", interaction=True, method="semiparametric")
+            np.testing.assert_allclose(res.effects("semiparametric").values, c * base.values, rtol=1e-12, atol=0.0)
+
     def test_effect_covariance_symmetric_psd(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
         for method in ("ols", "semiparametric"):
@@ -399,7 +422,7 @@ class TestMediate:
         B0[d1:, :d1] = 0.0
         cov0 = sandwich_covariance(stacked.A, B0, stacked.n)
         independent = StackedFit(stacked.theta, stacked.A, B0, cov0, stacked.index_map, stacked.n)
-        eff0 = effects_from_stacked(independent, res.xbar, True)
+        eff0 = effects_from_stacked(independent, res.xbar)
         assert np.max(np.abs(eff0.ci_length - res.effects("ols").ci_length)) > 1e-4
 
     def test_failure_surfaces_without_exception(self):
@@ -462,10 +485,3 @@ class TestDesignConditioning:
             mediate(data, "T", "M", "Y", covariates=("X1", "X2"), interaction=True, method="semiparametric")
         assert calls == []
 
-
-def test_embed_jacobian_pads_with_zeros():
-    small = np.array([[1.0, 2.0], [3.0, 4.0]])
-    G = embed_jacobian(small, [1, 3], 5)
-    assert G.shape == (2, 5)
-    assert np.array_equal(G[:, [1, 3]], small)
-    assert np.all(G[:, [0, 2, 4]] == 0.0)
