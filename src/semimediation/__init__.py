@@ -11,7 +11,6 @@ from .data import Dataset, DataError, DesignMatrix, ModelSpec, build_design, dat
 from .estimators import (
     EstimationError,
     FitFailure,
-    ParameterPoint,
     RegressionFit,
     fit_ols,
     fit_semiparametric,
@@ -56,7 +55,6 @@ __all__ = [
     "load_csv",
     "EstimationError",
     "FitFailure",
-    "ParameterPoint",
     "RegressionFit",
     "fit_ols",
     "fit_semiparametric",

@@ -117,9 +117,11 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
     When ``columns`` is given, only those columns are parsed and retained; a
-    retained name that occurs more than once in the header is an error. Blank
-    lines are skipped, and a row whose cell count differs from the header's is
-    an error naming its line. Rows with a missing, unparseable or non-finite
+    retained name that occurs more than once in the header is an error. A
+    UTF-8 byte-order mark before the header is ignored. Blank lines are
+    skipped, and a row whose cell count differs from the header's, or a
+    record the ``csv`` module rejects (a field over its size limit), is an
+    error naming its line. Rows with a missing, unparseable or non-finite
     cell in any retained column are dropped; the drop count is logged and
     stored on the returned Dataset.
 
@@ -130,11 +132,13 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     names = header if columns is None else list(columns)
     missing = [c for c in names if c not in header]
     if missing:
@@ -157,7 +161,10 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
             mat = mat[finite]
         logger.debug("%s: bulk route kept %d row(s), dropped %d", path, len(mat), dropped)
     else:
-        mat, dropped = _parse_rows(path, reader, len(header), keep)
+        try:
+            mat, dropped = _parse_rows(path, reader, len(header), keep)
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         logger.debug("%s: rows route kept %d row(s), dropped %d; bulk parse declined: %s", path, len(mat), dropped, reason)
     if not len(mat):
         raise DataError(f"{path}: no usable rows after filtering ({dropped} dropped)")

@@ -12,12 +12,14 @@ Two fitting routes share a single estimating-function interface:
   row ``e_i^2 - sigma2`` -- by damped Newton iteration from five deterministic
   starting points, screening implausible roots.
 
-Both return their parameters, the per-observation estimating-function values
-and the averaged Jacobian ``A``, and nothing more: the sandwich covariance is
-formed once, over the stacked rows of both models, by
-``inference.stack_fits``. Every Jacobian is exact
-and closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``,
-and one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
+A model's parameters are one vector theta = (beta, sigma2), coefficients
+first and the variance last, from the starts through Newton and the screens
+to the stacked sandwich. Both fits return theta, the per-observation
+estimating-function values and the averaged Jacobian ``A``, and nothing
+more: the sandwich covariance is formed once, over the stacked rows of both
+models, by ``inference.stack_fits``. Every Jacobian is exact and
+closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and
+one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
 sums. The pass runs over row blocks of the kernel matrix in two reused
 buffers, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
@@ -29,7 +31,6 @@ kernel pass follows the solve.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -69,22 +70,6 @@ class EstimationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParameterPoint:
-    """One regression parameter value theta = (beta, sigma2)."""
-
-    beta: np.ndarray
-    sigma2: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.append(self.beta, self.sigma2)
-
-    @staticmethod
-    def from_vector(v: np.ndarray) -> "ParameterPoint":
-        v = np.asarray(v, dtype=float)
-        return ParameterPoint(v[:-1].copy(), float(v[-1]))
-
-
-@dataclass(frozen=True)
 class FitDiagnostics:
     start_index_used: int | None
     iterations: int
@@ -97,14 +82,15 @@ class FitDiagnostics:
 class RegressionFit:
     """A fitted regression with its inferential ingredients.
 
-    ``psi_values`` holds the n x (p+1) per-observation estimating-function
-    rows at the solution and ``jacobian_A`` their averaged parameter
-    derivative with any fitted nuisance (the estimated score function) held
-    fixed. Stacked inference takes the rows and ``jacobian_A`` as they are and
-    forms the only covariance from them.
+    ``theta`` is the parameter vector (beta, sigma2), coefficients first and
+    the variance last. ``psi_values`` holds the n x (p+1) per-observation
+    estimating-function rows at the solution and ``jacobian_A`` their averaged
+    parameter derivative with any fitted nuisance (the estimated score
+    function) held fixed. Stacked inference takes the rows and ``jacobian_A``
+    as they are and forms the only covariance from them.
     """
 
-    params: ParameterPoint
+    theta: np.ndarray
     method: str
     psi_values: np.ndarray
     jacobian_A: np.ndarray
@@ -191,7 +177,7 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
         residual_norm=float(np.max(np.abs(psi.mean(axis=0)))),
         rcond=rcond,
     )
-    return RegressionFit(ParameterPoint(beta, sigma2), "ols", psi, A, diag, design, y)
+    return RegressionFit(np.append(beta, sigma2), "ols", psi, A, diag, design, y)
 
 
 def _kernel_score(
@@ -306,10 +292,11 @@ def silverman_bandwidth(residuals: np.ndarray) -> float:
 def semiparam_psi(
     design: DesignMatrix,
     response: np.ndarray,
-    point: ParameterPoint,
+    theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive-score estimating-function rows at one parameter point, with the
-    Jacobians of their mean for Newton (J) and for the sandwich (A).
+    """Adaptive-score estimating-function rows at one parameter vector
+    theta = (beta, sigma2), with the Jacobians of their mean for Newton (J)
+    and for the sandwich (A).
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
@@ -328,11 +315,12 @@ def semiparam_psi(
     re-estimation inside A cancels part of the derivative and inflates the
     variance roughly twofold. Rows, J and A all come from one kernel pass.
     """
-    if point.sigma2 <= 0.0:
+    beta, sigma2 = theta[:-1], theta[-1]
+    if sigma2 <= 0.0:
         raise EstimationError("sigma2 must be positive")
     X = design.values
     y = np.asarray(response, dtype=float)
-    e = y - X @ point.beta
+    e = y - X @ beta
     if e.size < 10:
         raise EstimationError(f"need at least 10 residuals for score estimation (got {e.size})")
     if not np.all(np.isfinite(e)):
@@ -355,7 +343,7 @@ def semiparam_psi(
     psi[:, 0] = e
     x_centered = X[:, 1:] - X[:, 1:].mean(axis=0)
     psi[:, 1:p] = x_centered * (s - s.mean())[:, None]
-    psi[:, p] = e * e - point.sigma2
+    psi[:, p] = e * e - sigma2
     J = np.zeros((p + 1, p + 1))
     J[0, :p] = -X.mean(axis=0)
     J[p, :p] = -2.0 * (e @ X) / n
@@ -425,45 +413,41 @@ def newton_root(
     return NewtonResult(x, extra, MAX_NEWTON_ITERATIONS, norm, False, "maximum iterations reached")
 
 
-def make_starts(ols: RegressionFit) -> tuple[ParameterPoint, ...]:
-    """Five deterministic starts around the least-squares solution.
+def make_starts(ols: RegressionFit) -> np.ndarray:
+    """Five deterministic starts around the least-squares solution, one per row.
 
-    Per-coefficient steps d_j = max(0.05, 0.1 * max(1, |beta_j|)) and the
-    alternating sign vector s = (1, -1, 1, -1, ...); the variance start is the
-    least-squares residual variance throughout.
+    The rows are b, b + d, b - d, b + s d and b - s d with the least-squares
+    coefficients b, per-coefficient steps d_j = max(0.05, 0.1 * max(1, |b_j|))
+    and the alternating sign vector s = (1, -1, 1, -1, ...); the variance
+    column is the least-squares residual variance throughout.
     """
-    b = ols.params.beta
-    s2 = ols.params.sigma2
+    b = ols.theta[:-1]
     d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
     s = np.where(np.arange(b.size) % 2 == 0, 1.0, -1.0)
-    return (
-        ParameterPoint(b.copy(), s2),
-        ParameterPoint(b + d, s2),
-        ParameterPoint(b - d, s2),
-        ParameterPoint(b + s * d, s2),
-        ParameterPoint(b - s * d, s2),
-    )
+    starts = np.tile(ols.theta, (5, 1))
+    starts[1:, :-1] += [d, -d, s * d, -s * d]
+    return starts
 
 
 def screen_root(
-    candidate: ParameterPoint,
+    theta: np.ndarray,
     rcond: float,
     ols: RegressionFit,
 ) -> tuple[bool, str | None]:
     """Accept or reject a converged root; the reason names the first violated rule.
+
+    ``theta`` must be a root at which ``semiparam_psi`` evaluated to finite
+    rows: Newton holds only such points, and the rows are finite only when
+    beta is finite and 0 < sigma2 < inf. So no rule here checks finiteness or
+    the sign of the variance.
 
     A root that passes is one whose sandwich is finite: the variance-ratio
     screen bounds mean(e^2), so its B is finite, and ``rcond > RCOND_MIN``
     keeps the solves with A finite. ``inference.stack_fits`` still checks the
     covariance it forms.
     """
-    b = candidate.beta
-    b_ols = ols.params.beta
-    if not np.all(np.isfinite(b)):
-        return False, "non-finite coefficient"
-    if not math.isfinite(candidate.sigma2) or candidate.sigma2 <= 0.0:
-        return False, "non-positive variance"
-    if candidate.sigma2 > SIGMA2_MAX_RATIO * ols.params.sigma2:
+    b, b_ols = theta[:-1], ols.theta[:-1]
+    if theta[-1] > SIGMA2_MAX_RATIO * ols.theta[-1]:
         return False, "variance ratio"
     if np.any(np.abs(b - b_ols) > COEF_OLS_DEV_MAX * np.maximum(1.0, np.abs(b_ols))):
         return False, "coefficient deviation"
@@ -494,24 +478,23 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
         try:
-            psi, J, A = semiparam_psi(design, y, ParameterPoint.from_vector(v))
+            psi, J, A = semiparam_psi(design, y, v)
         except EstimationError:
             return np.full(dim, np.nan), np.full((dim, dim), np.nan), None
         return psi.mean(axis=0), J, (psi, A)
 
     reasons: list[str] = []
     for idx, start in enumerate(make_starts(ols)):
-        result = newton_root(mean_psi, start.as_vector())
+        result = newton_root(mean_psi, start)
         if not result.converged:
             reasons.append(f"start {idx}: {result.reason}")
             continue
         if result.residual_norm > ACCEPT_PSI_MEAN_TOL:
             reasons.append(f"start {idx}: stalled with residual norm {result.residual_norm:.3g}")
             continue
-        point = ParameterPoint.from_vector(result.root)
         psi, A = result.extra
         rcond = reciprocal_condition(A)
-        accepted, reason = screen_root(point, rcond, ols)
+        accepted, reason = screen_root(result.root, rcond, ols)
         if accepted:
             diag = FitDiagnostics(
                 start_index_used=idx,
@@ -520,6 +503,6 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
                 rcond=rcond,
                 screened_reasons=tuple(reasons),
             )
-            return RegressionFit(point, "semiparametric", psi, A, diag, design, y)
+            return RegressionFit(result.root, "semiparametric", psi, A, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure("semiparametric", tuple(reasons))

@@ -137,7 +137,7 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     d2 = out.design.p + 1
     dim = d1 + d2
 
-    theta = np.concatenate([med.params.as_vector(), out.params.as_vector()])
+    theta = np.concatenate([med.theta, out.theta])
     psi = np.hstack([med.psi_values, out.psi_values])
 
     A = np.zeros((dim, dim))

@@ -283,7 +283,7 @@ def test_criterion_9_oracle_suite(tmp_path):
     for fit, design, resp in ((med, med_design, m), (out, out_design, y)):
         X = design.values
         oracle = np.linalg.solve(X.T @ X, X.T @ resp)
-        if np.max(np.abs(fit.params.beta - oracle)) > 1e-10:
+        if np.max(np.abs(fit.theta[:-1] - oracle)) > 1e-10:
             failures.append("OLS coefficients deviate from normal-equations oracle")
 
     # stacked OLS sandwich vs explicit HC0 oracle
@@ -293,7 +293,7 @@ def test_criterion_9_oracle_suite(tmp_path):
         (out, out_design, y, slice(med_design.p + 1, med_design.p + 1 + out_design.p)),
     ):
         X = design.values
-        e = resp - X @ fit.params.beta
+        e = resp - X @ fit.theta[:-1]
         bread = np.linalg.inv(X.T @ X)
         hc0 = bread @ (X.T * (e * e)) @ X @ bread
         if np.max(np.abs(stacked.cov[sl, sl] - hc0)) > 1e-8:

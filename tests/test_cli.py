@@ -107,6 +107,24 @@ class TestMediateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_over_long_field_in_unreferenced_column_exits_2(self, mediation_csv, tmp_path, capsys):
+        lines = mediation_csv.read_text(encoding="utf-8").splitlines()
+        lines[0] += ",NOTE"
+        lines[1:] = [line + ",-" for line in lines[1:]]
+        lines[5] = lines[5][:-1] + "x" * 200_000
+        path = tmp_path / "long_note.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "never.json"
+        code = main(
+            [
+                "mediate", "--data", str(path), "--treatment", "T", "--mediator", "M",
+                "--outcome", "Y", "--method", "ols", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "long_note.csv:6: field larger than field limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spaces_around_covariate_names_ignored(self, tmp_path):
         rng = np.random.default_rng(5)
         n = 60

@@ -119,10 +119,30 @@ class TestLoadCsv:
             assert (ds.n, ds.n_dropped) == (2, 0)
             assert np.array_equal(ds.column("Y"), [1.5, 2.5])
 
-    def test_over_long_field_is_csv_error(self, tmp_path):
-        path = write(tmp_path, "a,b\n1," + "1" * (csv.field_size_limit() + 1) + "\n3,4\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("a,b\n1," + "1" * (csv.field_size_limit() + 1) + "\n3,4\n", 2),
+            ("a,b\n1,2\n\n3," + "1" * (csv.field_size_limit() + 1) + "\n", 4),
+            ("a,b" + "1" * (csv.field_size_limit() + 1) + "\n1,2\n", 1),
+        ],
+        ids=["first-row", "after-blank-line", "header"],
+    )
+    def test_over_long_field_is_data_error_naming_its_line(self, tmp_path, text, lineno):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=rf"data\.csv:{lineno}: field larger than field limit"):
             load_csv(path, columns=["a"])
+
+    @pytest.mark.parametrize("na_row, dropped", [("", 0), ("1,NA\n", 1)], ids=["bulk", "rows"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, na_row, dropped):
+        text = "T,Y\n0,1.5\n" + na_row + "1,2.5\n"
+        plain = load_csv(write(tmp_path, text, "plain.csv"))
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        bom = load_csv(str(tmp_path / "bom.csv"))
+        assert bom.column_names == plain.column_names == ("T", "Y")
+        assert (bom.n, bom.n_dropped) == (plain.n, plain.n_dropped) == (2, dropped)
+        for name in plain.column_names:
+            assert bom.column(name).tobytes() == plain.column(name).tobytes()
 
     def test_underscore_digits_parse_like_float(self, tmp_path):
         ds = load_csv(write(tmp_path, "a,b\n1_000,2\n3,4\n"))

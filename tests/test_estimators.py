@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimediation import estimators
@@ -12,7 +12,6 @@ from semimediation.data import ModelSpec, build_design, dataset_from_arrays
 from semimediation.estimators import (
     EstimationError,
     FitFailure,
-    ParameterPoint,
     RegressionFit,
     fit_ols,
     fit_semiparametric,
@@ -37,8 +36,8 @@ class TestFitOls:
         y = np.array([2.0, 5.0, 8.0])
         design = DesignMatrix(np.column_stack([np.ones(3), x]), ("intercept", "covariate"), 2)
         fit = fit_ols(design, y)
-        assert np.allclose(fit.params.beta, [2.0, 3.0], atol=1e-12)
-        assert fit.params.sigma2 == pytest.approx(0.0, abs=1e-20)
+        assert np.allclose(fit.theta[:-1], [2.0, 3.0], atol=1e-12)
+        assert fit.theta[-1] == pytest.approx(0.0, abs=1e-20)
 
     def test_intercept_only_mean_and_variance(self):
         y = np.array([1.0, 2.0, 3.0])
@@ -46,8 +45,8 @@ class TestFitOls:
 
         design = DesignMatrix(np.ones((3, 1)), ("intercept",), 1)
         fit = fit_ols(design, y)
-        assert fit.params.beta[0] == pytest.approx(2.0)
-        assert fit.params.sigma2 == pytest.approx(1.0)  # divisor n - p = 2
+        assert fit.theta[0] == pytest.approx(2.0)
+        assert fit.theta[-1] == pytest.approx(1.0)  # divisor n - p = 2
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(5)
@@ -60,7 +59,7 @@ class TestFitOls:
         fit = fit_ols(design, y)
         X = design.values
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
-        assert np.max(np.abs(fit.params.beta - oracle)) < 1e-10
+        assert np.max(np.abs(fit.theta[:-1] - oracle)) < 1e-10
 
     def test_psi_structure(self):
         rng = np.random.default_rng(6)
@@ -68,10 +67,10 @@ class TestFitOls:
         y = t + rng.standard_normal(40)
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
-        e = resp - design.values @ fit.params.beta
+        e = resp - design.values @ fit.theta[:-1]
         assert np.allclose(fit.psi_values[:, 0], e)
         assert np.allclose(fit.psi_values[:, 1], t * e)
-        assert np.allclose(fit.psi_values[:, 2], e * e - fit.params.sigma2)
+        assert np.allclose(fit.psi_values[:, 2], e * e - fit.theta[-1])
         # coefficient moment rows average to zero at the solution
         assert np.max(np.abs(fit.psi_values[:, :2].mean(axis=0))) < 1e-10
 
@@ -106,7 +105,7 @@ class TestFitOls:
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
         X = design.values
-        e = resp - X @ fit.params.beta
+        e = resp - X @ fit.theta[:-1]
         bread = np.linalg.inv(X.T @ X)
         hc0 = bread @ (X.T * (e * e)) @ X @ bread
         assert np.max(np.abs(fit_sandwich(fit)[:2, :2] - hc0)) < 1e-8
@@ -154,14 +153,14 @@ class TestKernelScore:
     def test_zero_variance_is_error(self):
         design, resp = simple_design(np.array([0.0, 1.0] * 10), np.ones(20))
         with pytest.raises(EstimationError, match="zero-variance"):
-            semiparam_psi(design, resp, ParameterPoint(np.array([1.0, 0.0]), 1.0))
+            semiparam_psi(design, resp, np.array([1.0, 0.0, 1.0]))
 
     def test_too_few_residuals(self):
         from semimediation.data import DesignMatrix
 
         design = DesignMatrix(np.ones((5, 1)), ("intercept",), 1)
         with pytest.raises(EstimationError, match="at least 10"):
-            semiparam_psi(design, np.arange(5.0), ParameterPoint(np.zeros(1), 1.0))
+            semiparam_psi(design, np.arange(5.0), np.array([0.0, 1.0]))
 
 
 def direct_score_oracle(e, h):
@@ -191,14 +190,14 @@ def direct_score_oracle(e, h):
 def direct_psi_oracle(design, y, point):
     """Adaptive-score rows at ``point`` from the direct score oracle."""
     X = design.values
-    e = y - X @ point.beta
+    e = y - X @ point[:-1]
     sc = direct_score_oracle(e, 1.06 * np.std(e, ddof=1) * e.size ** (-0.2))
     sc = sc - sc.mean()
     oracle = np.empty((e.size, design.p + 1))
     oracle[:, 0] = e
     for j in range(1, design.p):
         oracle[:, j] = (X[:, j] - X[:, j].mean()) * sc
-    oracle[:, design.p] = e * e - point.sigma2
+    oracle[:, design.p] = e * e - point[-1]
     return oracle
 
 
@@ -214,7 +213,7 @@ class TestSemiparamPsi:
         y = 0.3 + t + rng.standard_normal(60)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        psi, _, _ = semiparam_psi(design, resp, ols.params)
+        psi, _, _ = semiparam_psi(design, resp, ols.theta)
         assert abs(psi[:, 0].mean()) < 1e-10
 
     def test_matches_direct_oracle(self):
@@ -223,7 +222,7 @@ class TestSemiparamPsi:
         y = np.array([0.2, 0.9, -0.6, 1.1, 0.3, 1.2, -0.3, 0.5, 0.6, 0.8, -0.2, 0.9])
         ds = dataset_from_arrays(T=t, M=m, Y=y)
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M"))
-        point = ParameterPoint(np.array([0.05, 0.3, 0.4]), 0.2)
+        point = np.array([0.05, 0.3, 0.4, 0.2])
         oracle = direct_psi_oracle(design, y, point)
         # Blocks of one row, of 7 rows (a block edge inside the data) and of all rows.
         for rows in (1, 7, y.size):
@@ -237,14 +236,14 @@ class TestSemiparamPsi:
         y = t + rng.laplace(size=50)
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
-        psi, _, _ = semiparam_psi(design, resp, fit.params)
+        psi, _, _ = semiparam_psi(design, resp, fit.theta)
         x_centered = t - t.mean()
         assert abs((psi[:, 1] / x_centered).mean()) < 1e-12
 
     def test_nonpositive_sigma2_rejected(self):
         design, resp = simple_design(np.array([0.0, 1] * 10), np.arange(20.0))
         with pytest.raises(EstimationError, match="sigma2"):
-            semiparam_psi(design, resp, ParameterPoint(np.zeros(2), 0.0))
+            semiparam_psi(design, resp, np.zeros(3))
 
 
 class TestNewtonRoot:
@@ -319,48 +318,49 @@ class TestNewtonRoot:
         for res in (converged, capped, blown_up):
             assert np.array_equal(res.extra, res.root)
 
+    @given(
+        a=st.floats(-5.0, 5.0),
+        v=st.floats(1e-3, 1e3),
+        b0=st.floats(-5.0, 5.0),
+        s0=st.floats(-2.0, 1e3),
+    )
+    @settings(deadline=None)
+    def test_converged_root_has_finite_beta_and_positive_sigma2(self, a, v, b0, s0):
+        # F is NaN where sigma2 <= 0, as the semiparametric rows are; its
+        # log term sends full Newton steps from sigma2 > e v below zero.
+        def F(x):
+            b, s2 = x
+            if not s2 > 0.0:
+                return np.full(2, np.nan), np.full((2, 2), np.nan), None
+            value = np.array([b**3 + b - a, math.log(s2 / v) + 0.5 * b])
+            return value, np.array([[3.0 * b * b + 1.0, 0.0], [0.5, 1.0 / s2]]), None
+
+        res = newton_root(F, np.array([b0, s0]))
+        if res.converged:
+            assert np.all(np.isfinite(res.root))
+            assert res.root[-1] > 0.0
+
 
 class TestMakeStarts:
-    # The documented steps: d = max(0.05, 0.1 * max(1, |beta|)) and the
-    # alternating signs s = (1, -1, 1, ...).
-    @staticmethod
-    def steps(beta):
-        d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(beta)))
-        s = np.array([(-1.0) ** j for j in range(beta.size)])
-        return d, s
-
-    def test_step_vector_and_fourth_start(self):
-        fit = _fake_ols(np.array([0.2, 3.0]), 1.0)
-        starts = make_starts(fit)
-        d, s = self.steps(fit.params.beta)
-        assert np.allclose(d, [0.1, 0.3])
-        assert np.allclose(starts[1].beta - fit.params.beta, d)
-        assert np.allclose(starts[3].beta, [0.3, 2.7])
-
-    def test_zero_coefficients_floor(self):
-        fit = _fake_ols(np.array([0.0, 0.0]), 1.0)
-        starts = make_starts(fit)
-        assert np.allclose(starts[1].beta, [0.1, 0.1])
-        assert np.allclose(starts[2].beta, [-0.1, -0.1])
-
-    def test_first_start_is_ols_exactly(self):
-        fit = _fake_ols(np.array([-1.7, 0.4, 12.0]), 2.5)
-        starts = make_starts(fit)
-        assert len(starts) == 5
-        assert np.array_equal(starts[0].beta, fit.params.beta)
-        assert starts[0].sigma2 == fit.params.sigma2
-
-    def test_start_order(self):
-        fit = _fake_ols(np.array([1.0, -2.0, 0.01]), 1.0)
-        starts = make_starts(fit)
-        b = fit.params.beta
-        d, s = self.steps(b)
-        assert np.array_equal(s, [1.0, -1.0, 1.0])
-        assert np.array_equal(starts[1].beta, b + d)
-        assert np.array_equal(starts[2].beta, b - d)
-        assert np.array_equal(starts[3].beta, b + s * d)
-        assert np.array_equal(starts[4].beta, b - s * d)
-        assert all(start.sigma2 == fit.params.sigma2 for start in starts)
+    @given(
+        beta=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=5),
+        sigma2=st.floats(1e-3, 1e3),
+    )
+    @example(beta=[0.2, 3.0], sigma2=1.0)
+    @example(beta=[0.0, 0.0], sigma2=1.0)
+    @example(beta=[-1.7, 0.4, 12.0], sigma2=2.5)
+    @example(beta=[1.0, -2.0, 0.01], sigma2=1.0)
+    @settings(deadline=None)
+    def test_rows_are_the_documented_starts(self, beta, sigma2):
+        # The documented steps: d = max(0.05, 0.1 * max(1, |beta|)) and the
+        # alternating signs s = (1, -1, 1, ...); sigma2 is the same in every row.
+        b = np.array(beta)
+        d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
+        s = np.array([(-1.0) ** j for j in range(b.size)])
+        starts = make_starts(_fake_ols(b, sigma2))
+        assert starts.shape == (5, b.size + 1)
+        for row, coef in zip(starts, [b, b + d, b - d, b + s * d, b - s * d]):
+            assert np.array_equal(row, np.append(coef, sigma2))
 
 
 def _fake_ols(beta, sigma2):
@@ -372,7 +372,7 @@ def _fake_ols(beta, sigma2):
     from semimediation.estimators import FitDiagnostics
 
     return RegressionFit(
-        ParameterPoint(np.asarray(beta, float), float(sigma2)),
+        np.append(beta, sigma2),
         "ols",
         np.zeros((n, p + 1)),
         -np.eye(p + 1),
@@ -387,20 +387,20 @@ class TestScreenRoot:
         self.ols = _fake_ols(np.array([1.0, 2.0]), 1.0)
 
     def test_variance_ratio_rejected(self):
-        point = ParameterPoint(np.array([1.0, 2.0]), 26.0)
+        point = np.array([1.0, 2.0, 26.0])
         ok, reason = screen_root(point, 1.0, self.ols)
         assert not ok and reason == "variance ratio"
 
     def test_ols_passes_its_own_screen(self):
-        ok, reason = screen_root(self.ols.params, 1.0, self.ols)
+        ok, reason = screen_root(self.ols.theta, 1.0, self.ols)
         assert ok and reason is None
 
     def test_rcond_rejected(self):
-        ok, reason = screen_root(self.ols.params, 1e-11, self.ols)
+        ok, reason = screen_root(self.ols.theta, 1e-11, self.ols)
         assert not ok and reason == "condition number"
 
     def test_deviation_rejected(self):
-        point = ParameterPoint(np.array([1.0, 2.0 + 15 * 2.0 + 0.1]), 1.0)
+        point = np.array([1.0, 2.0 + 15 * 2.0 + 0.1, 1.0])
         ok, reason = screen_root(point, 1.0, self.ols)
         assert not ok and reason == "coefficient deviation"
 
@@ -412,7 +412,7 @@ class TestScreenRoot:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_thresholds(self, sigma2, coef, rcond, loosen):
-        point = ParameterPoint(np.array([coef, 2.0]), sigma2)
+        point = np.array([coef, 2.0, sigma2])
         ok_base, _ = screen_root(point, rcond, self.ols)
         with (
             mock.patch.object(estimators, "RCOND_MIN", estimators.RCOND_MIN / loosen),
@@ -436,7 +436,7 @@ class TestFitSemiparametric:
         semi = fit_semiparametric(ols)
         assert isinstance(semi, RegressionFit)
         joint_se = np.sqrt(np.diag(fit_sandwich(ols))[:2] + np.diag(fit_sandwich(semi))[:2])
-        assert np.all(np.abs(semi.params.beta - ols.params.beta) < 3 * joint_se)
+        assert np.all(np.abs(semi.theta[:-1] - ols.theta[:-1]) < 3 * joint_se)
 
     def test_adversarial_response_flags_failure_with_reasons(self):
         n = 12
@@ -484,8 +484,8 @@ class TestFitSemiparametric:
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         a = fit_semiparametric(fit_ols(design, y))
         b = fit_semiparametric(fit_ols(design, y))
-        assert np.array_equal(a.params.beta, b.params.beta)
-        assert a.params.sigma2 == b.params.sigma2
+        assert np.array_equal(a.theta[:-1], b.theta[:-1])
+        assert a.theta[-1] == b.theta[-1]
         assert np.array_equal(a.psi_values, b.psi_values)
         assert np.array_equal(a.jacobian_A, b.jacobian_A)
         assert np.array_equal(fit_sandwich(a), fit_sandwich(b))
@@ -560,8 +560,8 @@ def design_with_residuals(e, seed):
     t = (np.arange(n) % 2).astype(float)
     x1 = rng.standard_normal(n)
     design = build_design(dataset_from_arrays(T=t, X1=x1, Y=e), ModelSpec(response="Y", treatment="T", covariates=("X1",)))
-    point = ParameterPoint(np.array([0.3, -0.2, 0.5]), 1.0)
-    return design, design.values @ point.beta + e, point
+    point = np.array([0.3, -0.2, 0.5, 1.0])
+    return design, design.values @ point[:-1] + e, point
 
 
 def loo_kernel_branches(e, h):
@@ -595,7 +595,7 @@ def frozen_score_oracle(r, h):
 def frozen_mean_psi_oracle(design, y, root):
     """Mean adaptive-score rows with the score function frozen at ``root``, written out directly."""
     X = design.values
-    r = y - X @ root.beta
+    r = y - X @ root[:-1]
     score = frozen_score_oracle(r, 1.06 * np.std(r, ddof=1) * y.size ** (-0.2))
     center = score(r).mean()
     xc = X[:, 1:] - X[:, 1:].mean(axis=0)
@@ -614,8 +614,8 @@ class TestExactJacobians:
     @staticmethod
     def newton_oracle(design, y, point):
         return central_diff(
-            lambda v: semiparam_psi(design, y, ParameterPoint.from_vector(v))[0].mean(axis=0),
-            point.as_vector(),
+            lambda v: semiparam_psi(design, y, v)[0].mean(axis=0),
+            point,
         )
 
     @staticmethod
@@ -623,12 +623,12 @@ class TestExactJacobians:
         """Relative errors of the re-estimated and the frozen score derivatives at a
         fixed bandwidth against central differences."""
         X = design.values
-        e = y - X @ point.beta
+        e = y - X @ point[:-1]
         _, ds_newton, ds_frozen = estimators._kernel_score(e, h, X, np.zeros(design.p))
         newton = central_diff(
-            lambda b: estimators._kernel_score(y - X @ b, h, X, np.zeros(design.p))[0], point.beta, step_rel
+            lambda b: estimators._kernel_score(y - X @ b, h, X, np.zeros(design.p))[0], point[:-1], step_rel
         )
-        frozen = central_diff(lambda b: frozen_score_oracle(e, h)(y - X @ b), point.beta, step_rel)
+        frozen = central_diff(lambda b: frozen_score_oracle(e, h)(y - X @ b), point[:-1], step_rel)
         return rel_err(ds_newton, newton), rel_err(ds_frozen, frozen)
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
@@ -636,7 +636,7 @@ class TestExactJacobians:
         for seed in range(3):
             design, y = law_design(law, seed)
             ols = fit_ols(design, y)
-            point = ParameterPoint(ols.params.beta + 0.05, 1.2 * ols.params.sigma2)
+            point = np.append(ols.theta[:-1] + 0.05, 1.2 * ols.theta[-1])
             _, J, _ = semiparam_psi(design, y, point)
             assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
 
@@ -645,7 +645,7 @@ class TestExactJacobians:
         for seed in range(3):
             design, y = law_design(law, seed)
             ols = fit_ols(design, y)
-            point = ParameterPoint(ols.params.beta + 0.05, ols.params.sigma2)
+            point = np.append(ols.theta[:-1] + 0.05, ols.theta[-1])
             assert max(self.fixed_bandwidth_errors(design, y, point, 0.4)) <= 1e-6
 
     def test_newton_jacobian_with_outlier_clamps(self):
@@ -675,7 +675,7 @@ class TestExactJacobians:
         design, y = law_design(law, 1)
         fit = fit_semiparametric(fit_ols(design, y))
         assert isinstance(fit, RegressionFit)
-        oracle = central_diff(frozen_mean_psi_oracle(design, y, fit.params), fit.params.as_vector())
+        oracle = central_diff(frozen_mean_psi_oracle(design, y, fit.theta), fit.theta)
         assert rel_err(fit.jacobian_A, oracle) <= 1e-6
 
     def test_frozen_jacobian_with_outlier_clamps(self):
@@ -685,7 +685,7 @@ class TestExactJacobians:
         h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
         assert loo_kernel_branches(e, h)[0] > 0
         A = semiparam_psi(design, y, point)[2]
-        oracle = central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())
+        oracle = central_diff(frozen_mean_psi_oracle(design, y, point), point)
         assert rel_err(A, oracle) <= 1e-6
 
     def test_ols_jacobian_matches_oracle(self):
@@ -697,7 +697,7 @@ class TestExactJacobians:
             e = y - X @ v[:-1]
             return np.append((X * e[:, None]).mean(axis=0), (e * e - v[-1]).mean())
 
-        assert rel_err(fit.jacobian_A, central_diff(mean_rows, fit.params.as_vector())) <= 1e-8
+        assert rel_err(fit.jacobian_A, central_diff(mean_rows, fit.theta)) <= 1e-8
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -715,10 +715,10 @@ class TestExactJacobians:
         ds = dataset_from_arrays(T=t, Y=y, **cols)
         design = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=tuple(cols)))
         ols = fit_ols(design, y)
-        point = ParameterPoint(ols.params.beta + shift, ols.params.sigma2)
+        point = np.append(ols.theta[:-1] + shift, ols.theta[-1])
         _, J, A = semiparam_psi(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-5
-        assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point.as_vector())) <= 1e-5
+        assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point)) <= 1e-5
 
 
 # GEMM sums may round differently from one block size to another. The kernel
@@ -763,7 +763,7 @@ class TestKernelBlocks:
         X = np.column_stack([np.ones(e.size), rng.standard_normal((e.size, 2))])
         dh = rng.standard_normal(3)
         design, y = law_design(ASYMMETRIC_MIXTURE, 3)
-        point = fit_ols(design, y).params
+        point = fit_ols(design, y).theta
         cases = [
             (e.size, lambda: estimators._kernel_score(e, h, X, dh)),
             (y.size, lambda: semiparam_psi(design, y, point)),
@@ -781,7 +781,7 @@ class TestKernelBlocks:
         # Three dense 4000 x 4000 float64 arrays would take 384 MB; the blocked
         # pass holds its 2-buffer budget plus arrays of n x (p + 1) floats.
         design, y = law_design(ASYMMETRIC_MIXTURE, 4, n=4000)
-        point = fit_ols(design, y).params
+        point = fit_ols(design, y).theta
         n, p = design.values.shape
         tracemalloc.start()
         try:

@@ -158,8 +158,8 @@ class TestSandwichAndStacking:
             bread = np.linalg.inv(X.T @ X)
             return bread @ (X.T * (e * e)) @ X @ bread
 
-        med_oracle = hc0(med_design, data.column("M"), med.params.beta)
-        out_oracle = hc0(out_design, data.column("Y"), out.params.beta)
+        med_oracle = hc0(med_design, data.column("M"), med.theta[:-1])
+        out_oracle = hc0(out_design, data.column("Y"), out.theta[:-1])
         pm = med_design.p
         po = out_design.p
         off = pm + 1
