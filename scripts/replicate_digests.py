@@ -7,15 +7,18 @@ replicates and seed 11 into a temporary directory, and prints one
 writes a fixed-seed CSV with two covariates and runs ``semimediation
 mediate --method both`` on it, once without and once with ``--interaction``,
 and prints one line per JSON report, hashed after dropping ``generated_at``
-and ``data.path`` and serialized with sorted keys. The simulations cover the
-interaction map without covariates; the reports cover the no-interaction map
-and the covariate positions. A pure refactor prints the same ten lines before
-and after the change; run it on both trees and compare the output::
+and ``data.path`` and serialized with sorted keys. A third report, without
+interaction and with ``--scale-outcome 10000``, is one whose semiparametric
+outcome fit fails at every start (exit status 3), so the reasons a start
+fails for are pinned too. The simulations cover the interaction map without
+covariates; the reports cover the no-interaction map and the covariate
+positions. A pure refactor prints the same eleven lines before and after the
+change; run it on both trees and compare the output::
 
     PYTHONPATH=src python scripts/replicate_digests.py
 
-It takes no options. The exit status is that of the first failing CLI run,
-or 0.
+It takes no options. The exit status is that of the first CLI run that fails
+unexpectedly (any non-zero status, or for the scaled report any but 3), or 0.
 """
 
 import hashlib
@@ -53,12 +56,17 @@ def main() -> int:
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
         data = out / "covariates.csv"
         write_covariate_csv(data)
-        for name, extra in (("report_no_interaction.json", []), ("report_interaction.json", ["--interaction"])):
+        reports = (
+            ("report_no_interaction.json", [], cli.EXIT_OK),
+            ("report_interaction.json", ["--interaction"], cli.EXIT_OK),
+            ("report_scaled_failure.json", ["--scale-outcome", "10000"], cli.EXIT_NUMERICAL),
+        )
+        for name, extra, expected in reports:
             report = out / name
             argv = ["mediate", "--data", str(data), "--treatment", "T", "--mediator", "M", "--outcome", "Y"]
             code = cli.main(argv + ["--covariates", "X1,X2", "--method", "both", "--out", str(report)] + extra)
-            if code != 0:
-                return code
+            if code != expected:
+                return code or 1
             payload = json.loads(report.read_text(encoding="utf-8"))
             del payload["generated_at"], payload["data"]["path"]
             digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -57,6 +57,11 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _json_number(x: float | None) -> float | None:
+    """``x`` if it is a finite number, else None: JSON has no NaN or infinity."""
+    return x if x is not None and abs(x) < float("inf") else None
+
+
 def _effects_payload(effects: EffectEstimates) -> dict:
     return {
         "kind": effects.kind,
@@ -114,7 +119,7 @@ def build_mediate_report(args: argparse.Namespace, result: MediationResult, n_dr
         report["diagnostics"][method] = {
             "mediator": _fit_diagnostics(mr.mediator_fit),
             "outcome": _fit_diagnostics(mr.outcome_fit),
-            "interaction_p_value": mr.interaction_p_value,
+            "interaction_p_value": _json_number(mr.interaction_p_value),
         }
         if mr.failed:
             report["warnings"].append(f"{method} fit flagged as a numerical failure; see diagnostics")
@@ -153,11 +158,11 @@ def cmd_mediate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = build_mediate_report(args, result, dataset.n_dropped)
+    # Serialized first: a stray NaN raises ValueError before the file opens.
+    text = json.dumps(build_mediate_report(args, result, dataset.n_dropped), indent=2, allow_nan=False)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         if args.plot:
             estimates = {m: mr.effects for m, mr in result.methods.items() if mr.effects is not None}
             emit_forest_svg(estimates, args.plot)
@@ -214,9 +219,9 @@ def cmd_power(args: argparse.Namespace) -> int:
         },
         "results": {
             m: {
-                "rejection_rate": s.rejection_rate,
-                "mean_estimate": s.mean_estimate,
-                "avg_ci_length": s.avg_ci_length,
+                "rejection_rate": _json_number(s.rejection_rate),
+                "mean_estimate": _json_number(s.mean_estimate),
+                "avg_ci_length": _json_number(s.avg_ci_length),
                 "success_rate": s.success_rate,
                 "reps_used": s.reps_used,
             }
@@ -224,10 +229,10 @@ def cmd_power(args: argparse.Namespace) -> int:
         },
         "paper_reference": report.paper_reference,
     }
+    text = json.dumps(payload, indent=2, allow_nan=False)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -121,9 +121,9 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     UTF-8 byte-order mark before the header is ignored. Blank lines are
     skipped, and a row whose cell count differs from the header's, or a
     record the ``csv`` module rejects (a field over its size limit), is an
-    error naming its line. Rows with a missing, unparseable or non-finite
-    cell in any retained column are dropped; the drop count is logged and
-    stored on the returned Dataset.
+    error naming the line the record ends on. Rows with a missing,
+    unparseable or non-finite cell in any retained column are dropped; the
+    drop count is logged and stored on the returned Dataset.
 
     The row-by-row ``csv.reader`` loop defines this behaviour. A file on which
     one numpy parse provably gives the same result is read that way instead;
@@ -162,7 +162,8 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
         logger.debug("%s: bulk route kept %d row(s), dropped %d", path, len(mat), dropped)
     else:
         try:
-            mat, dropped = _parse_rows(path, reader, len(header), keep)
+            records = ((reader.line_num, raw) for raw in reader)
+            mat, dropped = _parse_rows(path, records, len(header), keep)
         except csv.Error as exc:
             raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         logger.debug("%s: rows route kept %d row(s), dropped %d; bulk parse declined: %s", path, len(mat), dropped, reason)
@@ -226,11 +227,11 @@ def _parse_bulk(data: bytes, keep: list[int]) -> np.ndarray:
     return np.loadtxt(text, dtype=float, delimiter=",", comments=None, skiprows=1, usecols=keep, ndmin=2)
 
 
-def _parse_rows(path: str, reader: Iterable[list[str]], width: int, keep: list[int]) -> tuple[np.ndarray, int]:
-    """Parse the remaining records one cell at a time; return the kept rows and the drop count."""
+def _parse_rows(path: str, records: Iterable[tuple[int, list[str]]], width: int, keep: list[int]) -> tuple[np.ndarray, int]:
+    """Parse (line it ends on, record) pairs one cell at a time; return the kept rows and the drop count."""
     rows: list[list[float]] = []
     dropped = 0
-    for lineno, raw in enumerate(reader, start=2):
+    for lineno, raw in records:
         if not raw:
             continue
         if len(raw) != width:

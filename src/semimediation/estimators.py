@@ -10,7 +10,7 @@ Two fitting routes share a single estimating-function interface:
   ``e_i``, slope rows ``(x_ij - xbar_j) * shat(e_i)`` with ``shat`` the
   centered kernel-estimated log-density derivative of the residuals, variance
   row ``e_i^2 - sigma2`` -- by damped Newton iteration from five deterministic
-  starting points, screening implausible roots.
+  starting points, each judged once: a reason string, or None if accepted.
 
 A model's parameters are one vector theta = (beta, sigma2), coefficients
 first and the variance last, from the starts through Newton and the screens
@@ -38,8 +38,8 @@ import numpy as np
 
 from .data import DesignMatrix
 
-# Solver constants. The iteration cap is part of the fitting contract; the
-# remaining tolerances keep the Gaussian benchmark within least-squares noise.
+# Solver constants, read by newton_root alone. The iteration cap is part of the
+# fitting contract; the tolerances keep the Gaussian benchmark within OLS noise.
 MAX_NEWTON_ITERATIONS = 200
 NEWTON_RESIDUAL_TOL = 1e-8
 NEWTON_STEP_TOL = 1e-10
@@ -113,7 +113,7 @@ class FitFailure:
 
 @dataclass(frozen=True)
 class NewtonResult:
-    """Where a Newton run ended, and how.
+    """Where a Newton run ended, and how: ``reason`` is None if it converged.
 
     ``extra`` is the third output of the function's evaluation at ``root``,
     whether or not the run converged.
@@ -123,7 +123,6 @@ class NewtonResult:
     extra: Any
     iterations: int
     residual_norm: float
-    converged: bool
     reason: str | None = None
 
 
@@ -361,31 +360,31 @@ def newton_root(
     """Damped Newton iteration; ``F(x)`` returns the function value, its
     Jacobian and an extra value that Newton only carries.
 
-    Success means the sup-norm of F drops below 1e-8 or the damped step norm
-    below 1e-10; each step is halved up to 10 times seeking a decrease in
-    ||F||_inf, and the Jacobian and extra evaluated with the accepted trial
-    point serve the next step. A singular Jacobian or non-finite values end the
-    run as a failure. The result's ``extra`` is always that of the evaluation
-    at its ``root``.
+    Success (``reason`` None) means the sup-norm of F drops below 1e-8, or the
+    damped step norm below 1e-10 with the sup-norm at most 1e-6; a tiny step
+    at a larger residual is no root, and the run "stalled". Each step is
+    halved up to 10 times seeking a decrease in ||F||_inf, and the Jacobian
+    and extra of the accepted trial point serve the next step. A singular
+    Jacobian or non-finite values end the run as a failure. The result's
+    ``extra`` is always that of the evaluation at its ``root``.
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, J, extra = F(x)
     if not np.all(np.isfinite(fx)):
-        return NewtonResult(x, extra, 0, float("inf"), False, "non-finite function value at start")
+        return NewtonResult(x, extra, 0, float("inf"), "non-finite function value at start")
     norm = float(np.max(np.abs(fx)))
+    if norm < NEWTON_RESIDUAL_TOL:
+        return NewtonResult(x, extra, 0, norm)
 
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
-        if norm < NEWTON_RESIDUAL_TOL:
-            return NewtonResult(x, extra, iteration - 1, norm, True)
-
         if not np.all(np.isfinite(J)):
-            return NewtonResult(x, extra, iteration, norm, False, "non-finite jacobian")
+            return NewtonResult(x, extra, iteration, norm, "non-finite jacobian")
         try:
             dx = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
-            return NewtonResult(x, extra, iteration, norm, False, "singular jacobian")
+            return NewtonResult(x, extra, iteration, norm, "singular jacobian")
         if not np.all(np.isfinite(dx)):
-            return NewtonResult(x, extra, iteration, norm, False, "singular jacobian")
+            return NewtonResult(x, extra, iteration, norm, "singular jacobian")
 
         # Step-halving line search on ||F||_inf; if no halving finds a
         # decrease, the smallest step is taken and the step-norm criterion
@@ -400,17 +399,17 @@ def newton_root(
             x_new = x + t * dx
             f_new, J_new, extra_new = F(x_new)
         if not np.all(np.isfinite(f_new)):
-            return NewtonResult(x, extra, iteration, norm, False, "non-finite function value")
+            return NewtonResult(x, extra, iteration, norm, "non-finite function value")
 
         step_norm = float(np.linalg.norm(t * dx))
         x, fx, J, extra = x_new, f_new, J_new, extra_new
         norm = float(np.max(np.abs(fx)))
-        if norm < NEWTON_RESIDUAL_TOL:
-            return NewtonResult(x, extra, iteration, norm, True)
+        if norm < NEWTON_RESIDUAL_TOL or (step_norm < NEWTON_STEP_TOL and norm <= ACCEPT_PSI_MEAN_TOL):
+            return NewtonResult(x, extra, iteration, norm)
         if step_norm < NEWTON_STEP_TOL:
-            return NewtonResult(x, extra, iteration, norm, True)
+            return NewtonResult(x, extra, iteration, norm, f"stalled with residual norm {norm:.3g}")
 
-    return NewtonResult(x, extra, MAX_NEWTON_ITERATIONS, norm, False, "maximum iterations reached")
+    return NewtonResult(x, extra, MAX_NEWTON_ITERATIONS, norm, "maximum iterations reached")
 
 
 def make_starts(ols: RegressionFit) -> np.ndarray:
@@ -433,8 +432,8 @@ def screen_root(
     theta: np.ndarray,
     rcond: float,
     ols: RegressionFit,
-) -> tuple[bool, str | None]:
-    """Accept or reject a converged root; the reason names the first violated rule.
+) -> str | None:
+    """The first plausibility rule a converged root breaks, or None if it breaks none.
 
     ``theta`` must be a root at which ``semiparam_psi`` evaluated to finite
     rows: Newton holds only such points, and the rows are finite only when
@@ -448,12 +447,12 @@ def screen_root(
     """
     b, b_ols = theta[:-1], ols.theta[:-1]
     if theta[-1] > SIGMA2_MAX_RATIO * ols.theta[-1]:
-        return False, "variance ratio"
+        return "variance ratio"
     if np.any(np.abs(b - b_ols) > COEF_OLS_DEV_MAX * np.maximum(1.0, np.abs(b_ols))):
-        return False, "coefficient deviation"
+        return "coefficient deviation"
     if not (rcond > RCOND_MIN):
-        return False, "condition number"
-    return True, None
+        return "condition number"
+    return None
 
 
 def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
@@ -461,12 +460,12 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     ``ols`` is the least-squares fit of the regression: the design and
     response are read from it, and it seeds the starts and the screens.
-    Starts are tried in their fixed order; the first converged root that
-    passes the condition-number and plausibility screens is returned with its
-    rows and sandwich ``A``. If none survives, a :class:`FitFailure` records one
-    reason per start. Requires n >= p + 10 so the residual score estimate has
-    something to work with. A root's rows and sandwich ``A`` come with it from
-    Newton, as the extra value of the evaluation there.
+    Starts are tried in their fixed order. A start's verdict is its Newton
+    run's failure reason, else the first screen its root breaks; the first
+    start with neither is returned with its rows and sandwich ``A``, and if
+    none is, a :class:`FitFailure` records the reasons, one per start. Needs
+    n >= p + 10 so the residual score estimate has something to work with.
+    The root's rows and ``A`` come with it from Newton, as its extra value.
     """
     if ols.method != "ols":
         raise EstimationError(f"ols must be a least-squares fit, not a {ols.method} fit")
@@ -486,16 +485,12 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     reasons: list[str] = []
     for idx, start in enumerate(make_starts(ols)):
         result = newton_root(mean_psi, start)
-        if not result.converged:
-            reasons.append(f"start {idx}: {result.reason}")
-            continue
-        if result.residual_norm > ACCEPT_PSI_MEAN_TOL:
-            reasons.append(f"start {idx}: stalled with residual norm {result.residual_norm:.3g}")
-            continue
-        psi, A = result.extra
-        rcond = reciprocal_condition(A)
-        accepted, reason = screen_root(result.root, rcond, ols)
-        if accepted:
+        reason = result.reason
+        if reason is None:
+            psi, A = result.extra
+            rcond = reciprocal_condition(A)
+            reason = screen_root(result.root, rcond, ols)
+        if reason is None:
             diag = FitDiagnostics(
                 start_index_used=idx,
                 iterations=result.iterations,

@@ -130,8 +130,6 @@ def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
     """
     if med.n != out.n:
         raise InferenceError(f"fits are on different sample sizes ({med.n} vs {out.n})")
-    if med.method != out.method:
-        raise InferenceError(f"fits use different methods ({med.method} vs {out.method})")
     n = med.n
     d1 = med.design.p + 1
     d2 = out.design.p + 1
@@ -316,12 +314,12 @@ def mediate(
 
     The mediator model regresses the mediator on treatment and covariates; the
     outcome model adds the mediator and, when requested, the treatment*mediator
-    interaction. ``method`` selects "ols", "semiparametric", or "both". A
-    semiparametric numerical failure is recorded per model rather than raised.
+    interaction. ``method`` is "ols", or "both" to add the semiparametric fits.
+    A semiparametric numerical failure is recorded per model, not raised.
     """
-    if method not in (METHOD_OLS, METHOD_SEMIPARAMETRIC, "both"):
+    if method not in (METHOD_OLS, "both"):
         raise InferenceError(f"unknown method {method!r}")
-    wanted = [METHOD_OLS, METHOD_SEMIPARAMETRIC] if method == "both" else [method]
+    wanted = [METHOD_OLS, METHOD_SEMIPARAMETRIC] if method == "both" else [METHOD_OLS]
 
     med_spec = ModelSpec(response=mediator, treatment=treatment, covariates=covariates)
     out_spec = ModelSpec(

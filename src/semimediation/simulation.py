@@ -278,9 +278,9 @@ class PowerReport:
     )
 
 
-def power_config(reps: int, seed: int, n: int = POWER_N, dgp: DgpConstants = POWER_DGP) -> ScenarioConfig:
-    """Near-boundary power design: asymmetric-mixture errors, n=220 by default."""
-    return ScenarioConfig(error=ErrorSpec(ASYMMETRIC_MIXTURE), n=n, reps=reps, seed=seed, dgp=dgp)
+def power_config(reps: int, seed: int) -> ScenarioConfig:
+    """Near-boundary power design: asymmetric-mixture errors, n=220."""
+    return ScenarioConfig(error=ErrorSpec(ASYMMETRIC_MIXTURE), n=POWER_N, reps=reps, seed=seed, dgp=POWER_DGP)
 
 
 def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:

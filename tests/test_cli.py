@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from semimediation import cli, inference
 from semimediation.cli import emit_forest_svg, main
+from semimediation.estimators import FitFailure
 from semimediation.inference import EffectEstimates, mediate
 
 
@@ -27,6 +30,16 @@ def mediation_csv(tmp_path_factory):
 def load_report(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_strict_json(path):
+    """The file parsed as strict JSON: NaN, Infinity and -Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
 
 
 def strip_timestamp(report):
@@ -230,6 +243,21 @@ class TestMediateCommand:
         assert len(report["diagnostics"]["semiparametric"]["outcome"]["reasons"]) == 5
         assert report["warnings"]
 
+    def test_undefined_interaction_p_value_written_as_null(self, mediation_csv, tmp_path, monkeypatch):
+        # The p-value is NaN when the interaction's SE is 0.
+        def nan_p_value(*args, **kwargs):
+            res = mediate(*args, **kwargs)
+            methods = {m: dataclasses.replace(mr, interaction_p_value=float("nan")) for m, mr in res.methods.items()}
+            return dataclasses.replace(res, methods=methods)
+
+        monkeypatch.setattr(cli, "mediate", nan_p_value)
+        out = tmp_path / "nan.json"
+        args = ["mediate", "--data", str(mediation_csv), "--treatment", "T", "--mediator", "M", "--outcome", "Y"]
+        assert main(args + ["--interaction", "--method", "both", "--out", str(out)]) == 0
+        report = load_strict_json(out)
+        for method in ("ols", "semiparametric"):
+            assert report["diagnostics"][method]["interaction_p_value"] is None
+
     def test_rerun_identical_except_timestamp(self, mediation_csv, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = [
@@ -285,6 +313,22 @@ class TestPowerCommand:
         for method in ("ols", "semiparametric"):
             assert report["results"][method]["rejection_rate"] in (0.0, 1.0)
         assert report["paper_reference"]["ols_avg_length"] == 0.1781
+
+    def test_method_without_successes_written_as_null(self, tmp_path, monkeypatch):
+        # No semiparametric replicate succeeds, so its rate, mean and length
+        # are undefined; the report stays strict JSON.
+        monkeypatch.setattr(inference, "fit_semiparametric", lambda ols: FitFailure("semiparametric", ("stub",)))
+        out = tmp_path / "power.json"
+        assert main(["power", "--reps", "3", "--seed", "7", "--out", str(out)]) == 0
+        results = load_strict_json(out)["results"]
+        assert results["semiparametric"] == {
+            "rejection_rate": None,
+            "mean_estimate": None,
+            "avg_ci_length": None,
+            "success_rate": 0.0,
+            "reps_used": 0,
+        }
+        assert results["ols"]["reps_used"] == 3
 
     def test_rerun_identical_except_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "p1.json", tmp_path / "p2.json"

@@ -68,8 +68,9 @@ class TestLoadCsv:
             ("a,b\n1,2\n3,4,\n5,6\n", 3, 3),
             ("a,b\n1,2\n3\n", 3, 1),
             ("a,b\n1,2\n   \n3,4\n", 3, 1),
+            ('a,b\n1,"x\n2"\n3\n', 4, 1),
         ],
-        ids=["extra-cell", "trailing-comma", "short-row", "whitespace-line"],
+        ids=["extra-cell", "trailing-comma", "short-row", "whitespace-line", "after-multi-line-cell"],
     )
     def test_cell_count_mismatch_names_line(self, tmp_path, text, lineno, found, columns):
         path = write(tmp_path, text)
@@ -239,11 +240,13 @@ class TestLoadCsv:
 def oracle_load(path, columns):
     """The CSV contract written out directly: csv.reader, float() and a finite filter."""
     with open(path, newline="", encoding="utf-8") as fh:
-        records = list(csv.reader(fh))
-    header = [h.strip() for h in records[0]]
+        reader = csv.reader(fh)
+        # Each record with the line it ends on.
+        records = [(reader.line_num, record) for record in reader]
+    header = [h.strip() for h in records[0][1]]
     keep = [header.index(c) for c in (header if columns is None else columns)]
     rows, dropped = [], 0
-    for lineno, record in enumerate(records[1:], start=2):
+    for lineno, record in records[1:]:
         if not record:
             continue
         if len(record) != len(header):

@@ -249,7 +249,7 @@ class TestSemiparamPsi:
 class TestNewtonRoot:
     def test_affine_in_one_iteration(self):
         res = newton_root(lambda x: (np.array([x[0] - 3.0]), np.array([[1.0]]), None), np.array([0.0]))
-        assert res.converged
+        assert res.reason is None
         assert res.iterations == 1
         assert res.root[0] == pytest.approx(3.0, abs=1e-8)
 
@@ -258,31 +258,45 @@ class TestNewtonRoot:
             return np.array([x[0] ** 2 - 4.0, x[1] - 1.0]), np.array([[2.0 * x[0], 0.0], [0.0, 1.0]]), None
 
         res = newton_root(F, np.array([1.0, 0.0]))
-        assert res.converged
+        assert res.reason is None
         assert np.allclose(res.root, [2.0, 1.0], atol=1e-7)
 
     def test_constant_function_fails(self):
         res = newton_root(lambda x: (np.array([1.0]), np.array([[0.0]]), None), np.array([0.0]))
-        assert not res.converged
         assert res.reason == "singular jacobian"
 
     def test_non_finite_start_fails(self):
         res = newton_root(lambda x: (np.array([math.nan]), np.array([[1.0]]), None), np.array([0.0]))
-        assert not res.converged
+        assert res.reason == "non-finite function value at start"
 
     def test_non_finite_jacobian_fails(self):
         res = newton_root(lambda x: (np.array([x[0] - 1.0]), np.array([[math.nan]]), None), np.array([0.0]))
-        assert not res.converged
         assert res.reason == "non-finite jacobian"
 
     def test_iteration_cap(self, monkeypatch):
         # double root at 0: Newton only halves x each step
         monkeypatch.setattr(estimators, "MAX_NEWTON_ITERATIONS", 5)
         res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None), np.array([1.0]))
-        assert not res.converged
         assert res.reason == "maximum iterations reached"
         assert res.iterations == 5
         assert res.root[0] == pytest.approx(1 / 32)
+
+    def test_tiny_step_with_large_residual_stalls(self, monkeypatch):
+        # double root at 0: one step from 1 halves x and leaves F = 0.25,
+        # and a step tolerance of 1 lets the step rule end the run there.
+        monkeypatch.setattr(estimators, "NEWTON_STEP_TOL", 1.0)
+        res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None), np.array([1.0]))
+        assert res.reason == "stalled with residual norm 0.25"
+        assert (res.iterations, res.residual_norm) == (1, 0.25)
+
+    def test_tiny_step_with_small_residual_converges(self, monkeypatch):
+        # One step from 1e-3 leaves F = 2.5e-7: above the residual rule's
+        # 1e-8 but within ACCEPT_PSI_MEAN_TOL.
+        monkeypatch.setattr(estimators, "NEWTON_STEP_TOL", 1e-3)
+        res = newton_root(lambda x: (np.array([x[0] ** 2]), np.array([[2.0 * x[0]]]), None), np.array([1e-3]))
+        assert res.reason is None
+        assert res.iterations == 1
+        assert estimators.NEWTON_RESIDUAL_TOL < res.residual_norm <= estimators.ACCEPT_PSI_MEAN_TOL
 
     def test_accepted_trial_jacobian_is_reused(self):
         # One evaluation per trial point: the Jacobian of the accepted trial
@@ -294,7 +308,7 @@ class TestNewtonRoot:
             return np.array([x[0] ** 3 - 8.0]), np.array([[3.0 * x[0] ** 2]]), None
 
         res = newton_root(F, np.array([3.0]))
-        assert res.converged
+        assert res.reason is None
         assert res.root[0] == pytest.approx(2.0, abs=1e-8)
         assert len(points) == len(set(points))
 
@@ -312,7 +326,7 @@ class TestNewtonRoot:
         blown_up = newton_root(
             with_extra(lambda x: np.where(np.abs(x) < 1.0, x - 1e4, np.nan), lambda x: np.eye(1)), np.array([0.0])
         )
-        assert converged.converged and not capped.converged and not blown_up.converged
+        assert converged.reason is None
         assert capped.reason == "maximum iterations reached"
         assert blown_up.reason == "non-finite function value"
         for res in (converged, capped, blown_up):
@@ -336,7 +350,7 @@ class TestNewtonRoot:
             return value, np.array([[3.0 * b * b + 1.0, 0.0], [0.5, 1.0 / s2]]), None
 
         res = newton_root(F, np.array([b0, s0]))
-        if res.converged:
+        if res.reason is None:
             assert np.all(np.isfinite(res.root))
             assert res.root[-1] > 0.0
 
@@ -388,21 +402,17 @@ class TestScreenRoot:
 
     def test_variance_ratio_rejected(self):
         point = np.array([1.0, 2.0, 26.0])
-        ok, reason = screen_root(point, 1.0, self.ols)
-        assert not ok and reason == "variance ratio"
+        assert screen_root(point, 1.0, self.ols) == "variance ratio"
 
     def test_ols_passes_its_own_screen(self):
-        ok, reason = screen_root(self.ols.theta, 1.0, self.ols)
-        assert ok and reason is None
+        assert screen_root(self.ols.theta, 1.0, self.ols) is None
 
     def test_rcond_rejected(self):
-        ok, reason = screen_root(self.ols.theta, 1e-11, self.ols)
-        assert not ok and reason == "condition number"
+        assert screen_root(self.ols.theta, 1e-11, self.ols) == "condition number"
 
     def test_deviation_rejected(self):
         point = np.array([1.0, 2.0 + 15 * 2.0 + 0.1, 1.0])
-        ok, reason = screen_root(point, 1.0, self.ols)
-        assert not ok and reason == "coefficient deviation"
+        assert screen_root(point, 1.0, self.ols) == "coefficient deviation"
 
     @given(
         sigma2=st.floats(0.01, 50.0),
@@ -413,15 +423,15 @@ class TestScreenRoot:
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_thresholds(self, sigma2, coef, rcond, loosen):
         point = np.array([coef, 2.0, sigma2])
-        ok_base, _ = screen_root(point, rcond, self.ols)
+        base = screen_root(point, rcond, self.ols)
         with (
             mock.patch.object(estimators, "RCOND_MIN", estimators.RCOND_MIN / loosen),
             mock.patch.object(estimators, "SIGMA2_MAX_RATIO", estimators.SIGMA2_MAX_RATIO * loosen),
             mock.patch.object(estimators, "COEF_OLS_DEV_MAX", estimators.COEF_OLS_DEV_MAX * loosen),
         ):
-            ok_loose, _ = screen_root(point, rcond, self.ols)
-        if ok_base:
-            assert ok_loose
+            loose = screen_root(point, rcond, self.ols)
+        if base is None:
+            assert loose is None
 
 
 class TestFitSemiparametric:
@@ -474,6 +484,27 @@ class TestFitSemiparametric:
         assert np.max(np.abs(fit.psi_values.mean(axis=0))) <= 1e-6
         assert fit.diagnostics.rcond > 1e-10
         assert fit.diagnostics.start_index_used == 0
+
+    def test_stalled_starts_are_named_in_the_failure(self, monkeypatch):
+        # A step tolerance of 1e3 ends every run after its first step, short
+        # of a root, so each start fails with its residual norm.
+        rng = np.random.default_rng(15)
+        t = (rng.random(60) < 0.5).astype(float)
+        design, resp = simple_design(t, t + rng.laplace(size=60))
+        ols = fit_ols(design, resp)
+        runs = []
+        real_newton_root = estimators.newton_root
+
+        def recording_newton_root(F, x0):
+            runs.append(real_newton_root(F, x0))
+            return runs[-1]
+
+        monkeypatch.setattr(estimators, "NEWTON_STEP_TOL", 1e3)
+        monkeypatch.setattr(estimators, "newton_root", recording_newton_root)
+        res = fit_semiparametric(ols)
+        assert isinstance(res, FitFailure)
+        assert [r.iterations for r in runs] == [1] * 5
+        assert res.reasons == tuple(f"start {i}: stalled with residual norm {r.residual_norm:.3g}" for i, r in enumerate(runs))
 
     def test_determinism(self):
         rng = np.random.default_rng(12)

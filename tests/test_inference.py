@@ -167,14 +167,19 @@ class TestSandwichAndStacking:
         assert np.max(np.abs(st_fit.cov[off : off + po, off : off + po] - out_oracle)) < 1e-8
 
     def test_diagonal_blocks_are_each_fits_own_sandwich(self, laplace_mediation_data):
-        res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="semiparametric")
-        mr = res.methods["semiparametric"]
-        d1 = mr.mediator_fit.design.p + 1
-        for fit, block in ((mr.mediator_fit, slice(0, d1)), (mr.outcome_fit, slice(d1, None))):
-            A_inv = np.linalg.inv(fit.jacobian_A)
-            B = fit.psi_values.T @ fit.psi_values / fit.n
-            own = A_inv @ B @ A_inv.T / fit.n
-            assert np.max(np.abs(mr.stacked.cov[block, block] - own)) < 1e-10
+        res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
+        ols, semi = res.methods["ols"], res.methods["semiparametric"]
+        # mediate's own stack, and least squares beside the semiparametric fit.
+        for stacked, med, out in (
+            (semi.stacked, semi.mediator_fit, semi.outcome_fit),
+            (stack_fits(ols.mediator_fit, semi.outcome_fit), ols.mediator_fit, semi.outcome_fit),
+        ):
+            d1 = med.design.p + 1
+            for fit, block in ((med, slice(0, d1)), (out, slice(d1, None))):
+                A_inv = np.linalg.inv(fit.jacobian_A)
+                B = fit.psi_values.T @ fit.psi_values / fit.n
+                own = A_inv @ B @ A_inv.T / fit.n
+                assert np.max(np.abs(stacked.cov[block, block] - own)) < 1e-10
 
     def test_nonfinite_covariance_raises(self, laplace_mediation_data):
         data = laplace_mediation_data
@@ -207,7 +212,9 @@ class TestSandwichAndStacking:
         data = laplace_mediation_data
         med_ols = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
         out_ols = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
-        for med, out in ((med_ols, out_ols), (fit_semiparametric(med_ols), fit_semiparametric(out_ols))):
+        med_semi, out_semi = fit_semiparametric(med_ols), fit_semiparametric(out_ols)
+        # Fits of one method, and of two: least squares beside the semiparametric fit.
+        for med, out in ((med_ols, out_ols), (med_semi, out_semi), (med_ols, out_semi)):
             st_fit = stack_fits(med, out)
             d1 = med.design.p + 1
             assert np.array_equal(st_fit.A[:d1, :d1], med.jacobian_A)
@@ -255,15 +262,6 @@ class TestSandwichAndStacking:
         )
         out = fit_ols(build_design(small, ModelSpec(response="Y", treatment="T", mediator="M")), small.column("Y"))
         with pytest.raises(InferenceError, match="sample sizes"):
-            stack_fits(med, out)
-
-    def test_mixed_methods_rejected(self, laplace_mediation_data):
-        data = laplace_mediation_data
-        med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
-        out = fit_semiparametric(
-            fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
-        )
-        with pytest.raises(InferenceError, match="methods"):
             stack_fits(med, out)
 
 
@@ -344,9 +342,6 @@ class TestMediate:
         assert sorted(calls) == [3, 5]
         assert res.methods["semiparametric"].mediator_fit.method == "semiparametric"
         assert res.methods["semiparametric"].outcome_fit.method == "semiparametric"
-        calls.clear()
-        mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="semiparametric")
-        assert sorted(calls) == [3, 5]
 
     def test_decomposition_identity(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
@@ -399,9 +394,9 @@ class TestMediate:
         # every simulated error law, including a factor that moves the
         # coefficients past 100.
         data = generate_interaction_dataset(ScenarioConfig(ErrorSpec(law), n=300, reps=1, seed=11), 0)
-        base = mediate(data, "T", "M", "Y", interaction=True, method="semiparametric").effects("semiparametric")
+        base = mediate(data, "T", "M", "Y", interaction=True, method="both").effects("semiparametric")
         for c in (1e-4, 100.0):
-            res = mediate(data.with_scaled_column("Y", c), "T", "M", "Y", interaction=True, method="semiparametric")
+            res = mediate(data.with_scaled_column("Y", c), "T", "M", "Y", interaction=True, method="both")
             np.testing.assert_allclose(res.effects("semiparametric").values, c * base.values, rtol=1e-12, atol=0.0)
 
     def test_effect_covariance_symmetric_psd(self, laplace_mediation_data):
@@ -439,8 +434,9 @@ class TestMediate:
         assert res.effects("ols") is not None
 
     def test_unknown_method_rejected(self, laplace_mediation_data):
-        with pytest.raises(InferenceError, match="unknown method"):
-            mediate(laplace_mediation_data, "T", "M", "Y", method="bogus")
+        for method in ("bogus", "semiparametric"):
+            with pytest.raises(InferenceError, match="unknown method"):
+                mediate(laplace_mediation_data, "T", "M", "Y", method=method)
 
 
 def near_collinear_data(delta):
@@ -482,6 +478,6 @@ class TestDesignConditioning:
         monkeypatch.setattr(estimators, "semiparam_psi", counting_psi)
         data = near_collinear_data(1e-6)
         with pytest.raises(EstimationError, match="rcond="):
-            mediate(data, "T", "M", "Y", covariates=("X1", "X2"), interaction=True, method="semiparametric")
+            mediate(data, "T", "M", "Y", covariates=("X1", "X2"), interaction=True, method="both")
         assert calls == []
 

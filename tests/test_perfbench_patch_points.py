@@ -44,7 +44,7 @@ def test_traced_semiparametric_mediate_counts_kernel_elements():
     data = dataset_from_arrays(T=t, M=m, Y=y)
     tracer = TRACING_MODULE.Tracer()
     with tracer.installed():
-        mediate(data, treatment="T", mediator="M", outcome="Y", method="semiparametric")
+        mediate(data, treatment="T", mediator="M", outcome="Y", method="both")
     metrics = TRACING_MODULE.layer_metrics(tracer.spans, workers=1)
     calls = metrics["estimators.semiparam_psi.calls"]
     assert calls > 0

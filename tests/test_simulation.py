@@ -241,7 +241,7 @@ class TestPowerStudy:
 
     def test_large_effect_rejected_by_both(self):
         dgp = DgpConstants(alpha2=0.2, beta2=1.0, beta3=0.5, gamma=-1.0, eta=0.8)
-        cfg = power_config(reps=60, seed=12, dgp=dgp)
+        cfg = dataclasses.replace(power_config(reps=60, seed=12), dgp=dgp)
         report = run_power_study(cfg, workers=4)
         assert report.truth_acme0 == -1.0
         for s in report.methods.values():
