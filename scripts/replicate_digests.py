@@ -10,9 +10,11 @@ and prints one line per JSON report, hashed after dropping ``generated_at``
 and ``data.path`` and serialized with sorted keys. A third report, without
 interaction and with ``--scale-outcome 10000``, is one whose semiparametric
 outcome fit fails at every start (exit status 3), so the reasons a start
-fails for are pinned too. The simulations cover the interaction map without
+fails for are pinned too. Last it runs ``semimediation power --reps 25 --seed
+11`` and prints one line for its JSON report, hashed in the same way after
+dropping ``generated_at``. The simulations cover the interaction map without
 covariates; the reports cover the no-interaction map and the covariate
-positions. A pure refactor prints the same eleven lines before and after the
+positions. A pure refactor prints the same twelve lines before and after the
 change; run it on both trees and compare the output::
 
     PYTHONPATH=src python scripts/replicate_digests.py
@@ -43,6 +45,13 @@ def write_covariate_csv(path: Path) -> None:
     np.savetxt(path, np.column_stack([t, m, y, x]), fmt="%.17g", delimiter=",", header="T,M,Y,X1,X2", comments="")
 
 
+def print_report_digest(path: Path, payload: dict) -> None:
+    """Print the digest of a JSON report without its timestamp, keys sorted."""
+    del payload["generated_at"]
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    print(f"{digest}  {path.name}")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -68,9 +77,13 @@ def main() -> int:
             if code != expected:
                 return code or 1
             payload = json.loads(report.read_text(encoding="utf-8"))
-            del payload["generated_at"], payload["data"]["path"]
-            digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-            print(f"{digest}  {name}")
+            del payload["data"]["path"]
+            print_report_digest(report, payload)
+        power = out / "power.json"
+        code = cli.main(["power", "--reps", "25", "--seed", "11", "--out", str(power)])
+        if code != 0:
+            return code
+        print_report_digest(power, json.loads(power.read_text(encoding="utf-8")))
     return 0
 
 

@@ -208,13 +208,13 @@ def cmd_power(args: argparse.Namespace) -> int:
         "seed": config.seed,
         "reps": config.reps,
         "design": {
-            "n": report.n,
-            "error_law": report.error_law,
-            "alpha2": report.dgp.alpha2,
-            "beta2": report.dgp.beta2,
-            "beta3": report.dgp.beta3,
-            "gamma": report.dgp.gamma,
-            "eta": report.dgp.eta,
+            "n": config.n,
+            "error_law": config.error.law,
+            "alpha2": config.dgp.alpha2,
+            "beta2": config.dgp.beta2,
+            "beta3": config.dgp.beta3,
+            "gamma": config.dgp.gamma,
+            "eta": config.dgp.eta,
             "truth_acme0": report.truth_acme0,
         },
         "results": {

@@ -282,6 +282,3 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:
     values = np.column_stack(cols)
     return DesignMatrix(values, tuple(roles), values.shape[1])
 
-
-def response_vector(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
-    return dataset.column(spec.response)

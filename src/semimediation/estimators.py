@@ -105,9 +105,8 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class FitFailure:
-    """Numerical-failure flag: no candidate root survived screening."""
+    """Numerical-failure flag of a semiparametric fit: no candidate root survived screening."""
 
-    method: str
     reasons: tuple[str, ...]
 
 
@@ -500,4 +499,4 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
             )
             return RegressionFit(result.root, "semiparametric", psi, A, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
-    return FitFailure("semiparametric", tuple(reasons))
+    return FitFailure(tuple(reasons))

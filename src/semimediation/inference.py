@@ -1,13 +1,15 @@
-"""Stacked two-model inference and the causal effect maps.
+"""Stacked estimating-equation inference and the causal effect maps.
 
-The mediator fit and the outcome fit are combined into one estimating-equation
-system. Its sandwich covariance, the only one formed, comes from the fits'
-rows and ``A`` and is checked for finiteness here; it is pushed through the
-closed-form effect maps (product-of-coefficients without interaction, the
-treatment-specific extension with interaction) by the delta method to produce
-Wald intervals. Each map is written once: its Jacobian is taken from the map
-by one exact complex step per parameter, and the interaction map applies
-exactly when the stacked layout has an interaction coefficient.
+:func:`stack_fits` stacks any fits on the same rows into one
+estimating-equation system; its sandwich covariance, the only one formed,
+comes from the fits' rows and ``A`` and is checked for finiteness there.
+:func:`mediate` stacks a mediator and an outcome fit, locates their named
+coefficients once, and pushes the covariance through the closed-form effect
+maps (product-of-coefficients without interaction, the treatment-specific
+extension with interaction) by the delta method to produce Wald intervals.
+Each map is written once: its Jacobian is taken from the map by one exact
+complex step per parameter, and the interaction map applies exactly when the
+layout has an interaction coefficient.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .data import (
     DesignMatrix,
     ModelSpec,
     build_design,
-    response_vector,
 )
 from .estimators import (
     FitFailure,
@@ -50,7 +51,7 @@ class InferenceError(ValueError):
 
 @dataclass(frozen=True)
 class ParameterIndex:
-    """Positions of the named coefficients inside the stacked vector."""
+    """Positions of the named coefficients in the stacked (mediator, outcome) vector."""
 
     alpha2: int
     beta2: int
@@ -58,7 +59,6 @@ class ParameterIndex:
     beta3: int
     gamma: int
     eta: int | None
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,6 @@ class StackedFit:
     A: np.ndarray
     B: np.ndarray
     cov: np.ndarray
-    index_map: ParameterIndex
-    n: int
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,6 @@ def _index_map(med_design: DesignMatrix, out_design: DesignMatrix) -> ParameterI
         beta3=off + roles_out.index(ROLE_TREATMENT),
         gamma=off + roles_out.index(ROLE_MEDIATOR),
         eta=eta,
-        dim=off + out_design.p + 1,
     )
 
 
@@ -111,43 +108,46 @@ def sandwich_covariance(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def stack_fits(med: RegressionFit, out: RegressionFit) -> StackedFit:
-    """Stack the mediator and outcome estimating equations.
+def stack_fits(*fits: RegressionFit) -> StackedFit:
+    """Stack the estimating equations of fits on the same rows, in the order given.
 
-    A is the averaged parameter Jacobian of the stacked psi. The two models
-    share no parameters, so A is block diagonal with each fit's own
-    ``jacobian_A`` as its block and exact zeros elsewhere; nothing is
-    re-evaluated here. B is the averaged outer product, whose cross blocks
-    capture the dependence induced by the shared sample. cov = A^-1 B A^-T / n
-    is the one sandwich covariance of the pipeline; the fits carry none.
+    theta is the fits' parameter vectors end to end. A is the averaged
+    parameter Jacobian of the stacked psi. The fits share no parameters, so A
+    is block diagonal with each fit's own ``jacobian_A`` as its block and
+    exact zeros elsewhere; nothing is re-evaluated here. B is the averaged
+    outer product of the stacked rows, whose off-diagonal blocks capture the
+    dependence induced by the shared sample. cov = A^-1 B A^-T / n is the one
+    sandwich covariance of the pipeline; the fits carry none. Nothing here
+    reads a design or a role, so any fits stack: a mediator and an outcome
+    fit, or two fits of one model.
 
     Each block arrives checked: ``fit_ols`` rejects a least-squares ``A``
     and ``fit_semiparametric`` a root's ``A`` whose reciprocal condition
     number is not above ``RCOND_MIN``. The LU solve of a block-diagonal
-    matrix works block by block, so A is not checked again. A covariance with
-    a non-finite entry (rows large enough to overflow B) raises
-    :class:`InferenceError`.
+    matrix works block by block, so A is not checked again. Fits on
+    different sample sizes, no fits at all, or a covariance with a non-finite
+    entry (rows large enough to overflow B) raise :class:`InferenceError`.
     """
-    if med.n != out.n:
-        raise InferenceError(f"fits are on different sample sizes ({med.n} vs {out.n})")
-    n = med.n
-    d1 = med.design.p + 1
-    d2 = out.design.p + 1
-    dim = d1 + d2
+    sizes = [fit.n for fit in fits]
+    if len(set(sizes)) != 1:
+        raise InferenceError(f"stack_fits needs one or more fits on the same rows, not sample sizes {sizes}")
+    n = sizes[0]
+    theta = np.concatenate([fit.theta for fit in fits])
+    psi = np.hstack([fit.psi_values for fit in fits])
 
-    theta = np.concatenate([med.theta, out.theta])
-    psi = np.hstack([med.psi_values, out.psi_values])
-
-    A = np.zeros((dim, dim))
-    A[:d1, :d1] = med.jacobian_A
-    A[d1:, d1:] = out.jacobian_A
+    A = np.zeros((theta.size, theta.size))
+    start = 0
+    for fit in fits:
+        stop = start + fit.theta.size
+        A[start:stop, start:stop] = fit.jacobian_A
+        start = stop
     # Rows that overflow B are reported once, by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
         B = psi.T @ psi / n
     cov = sandwich_covariance(A, B, n)
     if not np.all(np.isfinite(cov)):
         raise InferenceError("stacked sandwich covariance is not finite")
-    return StackedFit(theta, A, B, cov, _index_map(med.design, out.design), n)
+    return StackedFit(theta, A, B, cov)
 
 
 def _complex_step_jacobian(f, theta: np.ndarray) -> np.ndarray:
@@ -245,14 +245,14 @@ def delta_intervals(
     )
 
 
-def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray) -> EffectEstimates:
+def effects_from_stacked(stacked: StackedFit, idx: ParameterIndex, xbar: np.ndarray) -> EffectEstimates:
     """Apply the model's effect map and the delta method to a stacked fit.
 
+    ``idx`` locates the named coefficients in a (mediator, outcome) stack.
     The interaction map applies exactly when the outcome model has an
     interaction coefficient; the map's Jacobian columns go to their stacked
     positions and every other column of G is zero.
     """
-    idx = stacked.index_map
     if idx.eta is None:
         positions = [idx.beta2, idx.beta3, idx.gamma]
         theta = stacked.theta[positions]
@@ -261,7 +261,7 @@ def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray) -> EffectEstimat
         positions = [idx.alpha2, idx.beta2, *idx.xi2, idx.beta3, idx.gamma, idx.eta]
         theta = stacked.theta[positions]
         values, J, kind = effect_map_g1(theta, xbar), jacobian_g1(theta, xbar), "interaction"
-    G = np.zeros((J.shape[0], idx.dim))
+    G = np.zeros((J.shape[0], stacked.theta.size))
     G[:, positions] = J
     return delta_intervals(values, G, stacked.cov, kind)
 
@@ -270,7 +270,6 @@ def effects_from_stacked(stacked: StackedFit, xbar: np.ndarray) -> EffectEstimat
 class MethodResult:
     """One method's full pipeline output, or its failure record."""
 
-    method: str
     effects: EffectEstimates | None
     stacked: StackedFit | None
     mediator_fit: RegressionFit | FitFailure
@@ -315,7 +314,9 @@ def mediate(
     The mediator model regresses the mediator on treatment and covariates; the
     outcome model adds the mediator and, when requested, the treatment*mediator
     interaction. ``method`` is "ols", or "both" to add the semiparametric fits.
-    A semiparametric numerical failure is recorded per model, not raised.
+    Every method stacks its mediator fit before its outcome fit, so one
+    coefficient layout serves them all. A semiparametric numerical failure is
+    recorded per model, not raised.
     """
     if method not in (METHOD_OLS, "both"):
         raise InferenceError(f"unknown method {method!r}")
@@ -333,13 +334,10 @@ def mediate(
     out_design = build_design(dataset, out_spec)
     # Least-squares fits: the OLS method's result, and the semiparametric
     # fits' data, starts and screens.
-    med_ols = fit_ols(med_design, response_vector(dataset, med_spec))
-    out_ols = fit_ols(out_design, response_vector(dataset, out_spec))
-    xbar = (
-        np.array([dataset.column(c).mean() for c in covariates])
-        if covariates
-        else np.empty(0)
-    )
+    med_ols = fit_ols(med_design, dataset.column(mediator))
+    out_ols = fit_ols(out_design, dataset.column(outcome))
+    idx = _index_map(med_design, out_design)
+    xbar = np.array([dataset.column(c).mean() for c in covariates])
 
     results: dict[str, MethodResult] = {}
     for m in wanted:
@@ -352,14 +350,13 @@ def mediate(
 
         if isinstance(med_fit, RegressionFit) and isinstance(out_fit, RegressionFit):
             stacked = stack_fits(med_fit, out_fit)
-            effects = effects_from_stacked(stacked, xbar)
+            effects = effects_from_stacked(stacked, idx, xbar)
             p_val: float | None = None
-            eta_idx = stacked.index_map.eta
-            if eta_idx is not None:
-                se = math.sqrt(max(stacked.cov[eta_idx, eta_idx], 0.0))
-                p_val = _normal_p_value(stacked.theta[eta_idx] / se) if se > 0 else float("nan")
-            results[m] = MethodResult(m, effects, stacked, med_fit, out_fit, p_val)
+            if idx.eta is not None:
+                se = math.sqrt(max(stacked.cov[idx.eta, idx.eta], 0.0))
+                p_val = _normal_p_value(stacked.theta[idx.eta] / se) if se > 0 else float("nan")
+            results[m] = MethodResult(effects, stacked, med_fit, out_fit, p_val)
         else:
-            results[m] = MethodResult(m, None, None, med_fit, out_fit, None)
+            results[m] = MethodResult(None, None, med_fit, out_fit, None)
 
     return MediationResult(results, xbar, tuple(covariates), interaction, dataset.n)

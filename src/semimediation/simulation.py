@@ -259,11 +259,6 @@ class PowerMethodSummary:
 class PowerReport:
     """Rejection behavior of the ACME(0) interval near the detection boundary."""
 
-    n: int
-    reps: int
-    seed: int
-    error_law: str
-    dgp: DgpConstants
     truth_acme0: float
     methods: dict[str, PowerMethodSummary]
     # Published benchmark values reported alongside computed results for
@@ -298,15 +293,7 @@ def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:
             summaries[m] = PowerMethodSummary(m, rejection, float(est.mean()), float(np.mean(hi - lo)), len(ok) / config.reps, len(ok))
         else:
             summaries[m] = PowerMethodSummary(m, math.nan, math.nan, math.nan, 0.0, 0)
-    return PowerReport(
-        n=config.n,
-        reps=config.reps,
-        seed=config.seed,
-        error_law=config.error.law,
-        dgp=config.dgp,
-        truth_acme0=float(config.dgp.truth()[0]),
-        methods=summaries,
-    )
+    return PowerReport(truth_acme0=float(config.dgp.truth()[0]), methods=summaries)
 
 
 def _fmt(x: float | int) -> str:

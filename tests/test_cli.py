@@ -317,7 +317,7 @@ class TestPowerCommand:
     def test_method_without_successes_written_as_null(self, tmp_path, monkeypatch):
         # No semiparametric replicate succeeds, so its rate, mean and length
         # are undefined; the report stays strict JSON.
-        monkeypatch.setattr(inference, "fit_semiparametric", lambda ols: FitFailure("semiparametric", ("stub",)))
+        monkeypatch.setattr(inference, "fit_semiparametric", lambda ols: FitFailure(("stub",)))
         out = tmp_path / "power.json"
         assert main(["power", "--reps", "3", "--seed", "7", "--out", str(out)]) == 0
         results = load_strict_json(out)["results"]

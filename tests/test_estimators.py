@@ -341,13 +341,16 @@ class TestNewtonRoot:
     @settings(deadline=None)
     def test_converged_root_has_finite_beta_and_positive_sigma2(self, a, v, b0, s0):
         # F is NaN where sigma2 <= 0, as the semiparametric rows are; its
-        # log term sends full Newton steps from sigma2 > e v below zero.
+        # log term sends full Newton steps from sigma2 > e v below zero. At a
+        # subnormal sigma2 the log or 1 / sigma2 is infinite, quietly, and
+        # Newton reports the non-finite value.
         def F(x):
             b, s2 = x
             if not s2 > 0.0:
                 return np.full(2, np.nan), np.full((2, 2), np.nan), None
-            value = np.array([b**3 + b - a, math.log(s2 / v) + 0.5 * b])
-            return value, np.array([[3.0 * b * b + 1.0, 0.0], [0.5, 1.0 / s2]]), None
+            with np.errstate(all="ignore"):
+                value = np.array([b**3 + b - a, np.log(s2 / v) + 0.5 * b])
+                return value, np.array([[3.0 * b * b + 1.0, 0.0], [0.5, 1.0 / s2]]), None
 
         res = newton_root(F, np.array([b0, s0]))
         if res.reason is None:

@@ -11,6 +11,7 @@ from semimediation.estimators import EstimationError, fit_ols, fit_semiparametri
 from semimediation.inference import (
     InferenceError,
     StackedFit,
+    _index_map,
     delta_intervals,
     effect_map_g0,
     effect_map_g1,
@@ -169,12 +170,17 @@ class TestSandwichAndStacking:
     def test_diagonal_blocks_are_each_fits_own_sandwich(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="both")
         ols, semi = res.methods["ols"], res.methods["semiparametric"]
-        # mediate's own stack, and least squares beside the semiparametric fit.
+        # mediate's own stack, least squares beside the semiparametric fit,
+        # and the two fits of one model on simulated asymmetric-mixture data.
+        data = generate_interaction_dataset(ScenarioConfig(ErrorSpec("asymmetric_mixture"), n=300, reps=1, seed=11), 0)
+        med_ols = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
+        med_semi = fit_semiparametric(med_ols)
         for stacked, med, out in (
             (semi.stacked, semi.mediator_fit, semi.outcome_fit),
             (stack_fits(ols.mediator_fit, semi.outcome_fit), ols.mediator_fit, semi.outcome_fit),
+            (stack_fits(med_ols, med_semi), med_ols, med_semi),
         ):
-            d1 = med.design.p + 1
+            d1 = med.theta.size
             for fit, block in ((med, slice(0, d1)), (out, slice(d1, None))):
                 A_inv = np.linalg.inv(fit.jacobian_A)
                 B = fit.psi_values.T @ fit.psi_values / fit.n
@@ -221,6 +227,22 @@ class TestSandwichAndStacking:
             assert np.array_equal(st_fit.A[d1:, d1:], out.jacobian_A)
             assert np.all(st_fit.A[:d1, d1:] == 0.0)
             assert np.all(st_fit.A[d1:, :d1] == 0.0)
+        # All four fits in one stack: A is block diagonal in the order given,
+        # and the covariance of each pair of fits is that of their own stack.
+        fits = (med_ols, out_ols, med_semi, out_semi)
+        four = stack_fits(*fits)
+        bounds = np.cumsum([0] + [fit.theta.size for fit in fits])
+        blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(four.theta, np.concatenate([fit.theta for fit in fits]))
+        off_diagonal = four.A.copy()
+        for fit, block in zip(fits, blocks):
+            assert np.array_equal(four.A[block, block], fit.jacobian_A)
+            off_diagonal[block, block] = 0.0
+        assert np.all(off_diagonal == 0.0)
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+            pair = stack_fits(fits[i], fits[j])
+            rows = np.r_[blocks[i], blocks[j]]
+            np.testing.assert_allclose(four.cov[np.ix_(rows, rows)], pair.cov, rtol=1e-12, atol=0.0)
 
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
         # Each fit makes one kernel-score pass per Newton evaluation and none
@@ -263,6 +285,8 @@ class TestSandwichAndStacking:
         out = fit_ols(build_design(small, ModelSpec(response="Y", treatment="T", mediator="M")), small.column("Y"))
         with pytest.raises(InferenceError, match="sample sizes"):
             stack_fits(med, out)
+        with pytest.raises(InferenceError, match="sample sizes"):
+            stack_fits()
 
 
 class TestDeltaIntervals:
@@ -294,12 +318,13 @@ class TestDeltaIntervals:
         data = laplace_mediation_data
         res = mediate(data, "T", "M", "Y", covariates=("X1",), interaction=False, method="ols")
         eff = res.effects("ols")
-        stacked = res.methods["ols"].stacked
-        idx = stacked.index_map
+        mr = res.methods["ols"]
+        stacked = mr.stacked
+        idx = _index_map(mr.mediator_fit.design, mr.outcome_fit.design)
         # independent recomputation from the stored stacked matrices
         b2, b3, g = stacked.theta[idx.beta2], stacked.theta[idx.beta3], stacked.theta[idx.gamma]
         values = np.array([b2 * g, b3, b3 + b2 * g])
-        G = np.zeros((3, idx.dim))
+        G = np.zeros((3, stacked.theta.size))
         G[0, idx.beta2] = g
         G[0, idx.gamma] = b2
         G[1, idx.beta3] = 1.0
@@ -352,9 +377,9 @@ class TestMediate:
 
     def test_no_interaction_matches_g0_of_fitted_coefficients(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=False, method="ols")
-        stacked = res.methods["ols"].stacked
-        idx = stacked.index_map
-        theta0 = stacked.theta[[idx.beta2, idx.beta3, idx.gamma]]
+        mr = res.methods["ols"]
+        idx = _index_map(mr.mediator_fit.design, mr.outcome_fit.design)
+        theta0 = mr.stacked.theta[[idx.beta2, idx.beta3, idx.gamma]]
         assert np.array_equal(res.effects("ols").values, effect_map_g0(theta0))
 
     def test_interaction_p_value_reported(self, laplace_mediation_data):
@@ -415,9 +440,10 @@ class TestMediate:
         B0 = stacked.B.copy()
         B0[:d1, d1:] = 0.0
         B0[d1:, :d1] = 0.0
-        cov0 = sandwich_covariance(stacked.A, B0, stacked.n)
-        independent = StackedFit(stacked.theta, stacked.A, B0, cov0, stacked.index_map, stacked.n)
-        eff0 = effects_from_stacked(independent, res.xbar)
+        cov0 = sandwich_covariance(stacked.A, B0, res.n)
+        independent = StackedFit(stacked.theta, stacked.A, B0, cov0)
+        idx = _index_map(mr.mediator_fit.design, mr.outcome_fit.design)
+        eff0 = effects_from_stacked(independent, idx, res.xbar)
         assert np.max(np.abs(eff0.ci_length - res.effects("ols").ci_length)) > 1e-4
 
     def test_failure_surfaces_without_exception(self):

@@ -222,10 +222,9 @@ class TestPowerStudy:
         cfg = power_config(reps=1, seed=9)
         assert cfg.n == 220
         assert cfg.dgp == DgpConstants(alpha2=0.2, beta2=0.26, beta3=0.5, gamma=-0.26, eta=0.8)
+        assert cfg.error.law == sim.ASYMMETRIC_MIXTURE
         report = run_power_study(cfg)
         assert report.truth_acme0 == pytest.approx(-0.0676, abs=1e-12)
-        assert report.n == 220
-        assert report.error_law == sim.ASYMMETRIC_MIXTURE
 
     def test_paper_reference_values_attached(self):
         report = run_power_study(power_config(reps=1, seed=10))
