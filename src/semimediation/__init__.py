@@ -24,11 +24,11 @@ from .inference import (
     InferenceError,
     MediationResult,
     StackedFit,
-    delta_intervals,
     effect_map_g0,
     effect_map_g1,
     jacobian_g0,
     jacobian_g1,
+    map_intervals,
     mediate,
     stack_fits,
 )
@@ -66,11 +66,11 @@ __all__ = [
     "InferenceError",
     "MediationResult",
     "StackedFit",
-    "delta_intervals",
     "effect_map_g0",
     "effect_map_g1",
     "jacobian_g0",
     "jacobian_g1",
+    "map_intervals",
     "mediate",
     "stack_fits",
     "DgpConstants",

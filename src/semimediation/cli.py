@@ -62,9 +62,9 @@ def _json_number(x: float | None) -> float | None:
     return x if x is not None and abs(x) < float("inf") else None
 
 
-def _effects_payload(effects: EffectEstimates) -> dict:
+def _effects_payload(effects: EffectEstimates, interaction: bool) -> dict:
     return {
-        "kind": effects.kind,
+        "kind": "interaction" if interaction else "no_interaction",
         "effects": [
             {
                 "name": name,
@@ -115,7 +115,7 @@ def build_mediate_report(args: argparse.Namespace, result: MediationResult, n_dr
     }
     for method, mr in result.methods.items():
         if mr.effects is not None:
-            report["effects"][method] = _effects_payload(mr.effects)
+            report["effects"][method] = _effects_payload(mr.effects, result.interaction)
         report["diagnostics"][method] = {
             "mediator": _fit_diagnostics(mr.mediator_fit),
             "outcome": _fit_diagnostics(mr.outcome_fit),

@@ -3,13 +3,16 @@
 :func:`stack_fits` stacks any fits on the same rows into one
 estimating-equation system; its sandwich covariance, the only one formed,
 comes from the fits' rows and ``A`` and is checked for finiteness there.
+:func:`map_intervals` is the one route from a stack to a reported number: it
+pushes the covariance through a map of some stacked parameters by the delta
+method and returns the values, their covariance, Wald bounds and p-values.
 :func:`mediate` stacks a mediator and an outcome fit, locates their named
-coefficients once, and pushes the covariance through the closed-form effect
-maps (product-of-coefficients without interaction, the treatment-specific
-extension with interaction) by the delta method to produce Wald intervals.
-Each map is written once: its Jacobian is taken from the map by one exact
-complex step per parameter, and the interaction map applies exactly when the
-layout has an interaction coefficient.
+coefficients once, and maps them to the effects (product-of-coefficients
+without interaction, the treatment-specific extension with interaction) and,
+with interaction, to the interaction coefficient's p-value by the identity
+map. Each map is written once: its Jacobian is taken from the map by one
+exact complex step per parameter, and the interaction map applies exactly
+when the layout has an interaction coefficient.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ class StackedFit:
 
 @dataclass(frozen=True)
 class EffectEstimates:
-    """Point estimates, delta-method covariance, and 95% Wald bounds."""
+    """Mapped values, their delta-method covariance, 95% Wald bounds and p-values."""
 
-    kind: str  # "no_interaction" or "interaction"
     names: tuple[str, ...]
     values: np.ndarray
     cov: np.ndarray
     ci_lower: np.ndarray
     ci_upper: np.ndarray
+    p_values: np.ndarray
 
     @property
     def ci_length(self) -> np.ndarray:
@@ -151,15 +154,16 @@ def stack_fits(*fits: RegressionFit) -> StackedFit:
 
 
 def _complex_step_jacobian(f, theta: np.ndarray) -> np.ndarray:
-    """Jacobian of an effect map ``f`` at real ``theta``, one complex step per parameter.
+    """Jacobian of a map ``f`` at real ``theta``, one complex step per parameter.
 
     Im f(theta + i h e_j) / h is the derivative in theta_j up to an O(h^2)
-    term (Squire & Trapp 1998, SIAM Rev. 40:110). The effect maps are affine
-    in each parameter taken alone, so that term is zero, and the power-of-two
-    h makes the division exact: the result is the closed-form gradient bit
-    for bit. Stepping one parameter at a time keeps every sum in the order of
-    the real evaluation, which one batched call would not. Adding 0.0 turns
-    the -0.0 that a negative real part leaves in a structural zero into 0.0.
+    term (Squire & Trapp 1998, SIAM Rev. 40:110). The maps in use (the effect
+    maps and the identity) are affine in each parameter taken alone, so that
+    term is zero, and the power-of-two h makes the division exact: the result
+    is the closed-form gradient bit for bit. Stepping one parameter at a time
+    keeps every sum in the order of the real evaluation, which one batched
+    call would not. Adding 0.0 turns the -0.0 that a negative real part
+    leaves in a structural zero into 0.0.
     """
     h = 2.0**-60
     steps = np.asarray(theta, dtype=float) + 1j * h * np.eye(np.size(theta))
@@ -215,55 +219,50 @@ def jacobian_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     return _complex_step_jacobian(lambda v: effect_map_g1(v, xbar), theta1)
 
 
-def delta_intervals(
-    values: np.ndarray,
-    G: np.ndarray,
-    cov_theta: np.ndarray,
-    kind: str,
-) -> EffectEstimates:
-    """Propagate the stacked covariance through an effect map: cov = G Sigma G'.
+def map_intervals(stacked: StackedFit, positions: list[int], f, names: tuple[str, ...]) -> EffectEstimates:
+    """Push the stacked covariance through a map ``f`` of ``stacked.theta[positions]``.
 
-    95% Wald bounds use the fixed z quantile. A diagonal entry below -1e-12
-    signals a broken covariance upstream and raises; tiny negatives are
-    clipped to zero.
+    This is the one inference route: every reported number is such a map,
+    and ``f`` must keep complex input complex. The values are ``f`` at the
+    estimate, J is its complex-step Jacobian, and their covariance is
+    J Sigma J' on the positions' block of the stacked covariance, symmetrized.
+    A variance below -1e-12 signals a broken covariance upstream and raises;
+    tiny negatives are clipped to zero. The 95% Wald bounds use the fixed z
+    quantile, and the two-sided normal p-values erfc(|z| / sqrt 2) are NaN
+    where the standard error is 0.
     """
-    cov = G @ cov_theta @ G.T
+    theta = stacked.theta[positions]
+    values = np.asarray(f(theta), dtype=float)
+    J = _complex_step_jacobian(f, theta)
+    cov = J @ stacked.cov[positions][:, positions] @ J.T
     cov = (cov + cov.T) / 2.0
-    diag = np.diag(cov).copy()
-    if np.any(diag < -1e-12):
-        raise InferenceError(f"negative effect variance ({diag.min():.3g}): covariance is broken upstream")
-    diag[diag < 0.0] = 0.0
-    se = np.sqrt(diag)
-    names = INTERACTION_EFFECTS if kind == "interaction" else NO_INTERACTION_EFFECTS
+    var = cov.diagonal().copy()
+    if (var < -1e-12).any():
+        raise InferenceError(f"negative variance ({var.min():.3g}): covariance is broken upstream")
+    var[var < 0.0] = 0.0
+    se = np.sqrt(var)
+    p_values = np.array([math.erfc(abs(v / s) / math.sqrt(2.0)) if s > 0 else math.nan for v, s in zip(values, se)])
     return EffectEstimates(
-        kind=kind,
         names=names,
-        values=np.asarray(values, dtype=float),
+        values=values,
         cov=cov,
         ci_lower=values - Z95 * se,
         ci_upper=values + Z95 * se,
+        p_values=p_values,
     )
 
 
 def effects_from_stacked(stacked: StackedFit, idx: ParameterIndex, xbar: np.ndarray) -> EffectEstimates:
-    """Apply the model's effect map and the delta method to a stacked fit.
+    """The model's effects from a stacked fit, through :func:`map_intervals`.
 
     ``idx`` locates the named coefficients in a (mediator, outcome) stack.
     The interaction map applies exactly when the outcome model has an
-    interaction coefficient; the map's Jacobian columns go to their stacked
-    positions and every other column of G is zero.
+    interaction coefficient.
     """
     if idx.eta is None:
-        positions = [idx.beta2, idx.beta3, idx.gamma]
-        theta = stacked.theta[positions]
-        values, J, kind = effect_map_g0(theta), jacobian_g0(theta), "no_interaction"
-    else:
-        positions = [idx.alpha2, idx.beta2, *idx.xi2, idx.beta3, idx.gamma, idx.eta]
-        theta = stacked.theta[positions]
-        values, J, kind = effect_map_g1(theta, xbar), jacobian_g1(theta, xbar), "interaction"
-    G = np.zeros((J.shape[0], stacked.theta.size))
-    G[:, positions] = J
-    return delta_intervals(values, G, stacked.cov, kind)
+        return map_intervals(stacked, [idx.beta2, idx.beta3, idx.gamma], effect_map_g0, NO_INTERACTION_EFFECTS)
+    positions = [idx.alpha2, idx.beta2, *idx.xi2, idx.beta3, idx.gamma, idx.eta]
+    return map_intervals(stacked, positions, lambda v: effect_map_g1(v, xbar), INTERACTION_EFFECTS)
 
 
 @dataclass(frozen=True)
@@ -290,14 +289,12 @@ class MediationResult:
     n: int
 
     def effects(self, method: str) -> EffectEstimates:
+        if method not in self.methods:
+            raise InferenceError(f"method {method!r} was not run; mediate ran {', '.join(self.methods)}")
         res = self.methods[method].effects
         if res is None:
             raise InferenceError(f"{method} fit failed; no effects available")
         return res
-
-
-def _normal_p_value(z: float) -> float:
-    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def mediate(
@@ -353,8 +350,7 @@ def mediate(
             effects = effects_from_stacked(stacked, idx, xbar)
             p_val: float | None = None
             if idx.eta is not None:
-                se = math.sqrt(max(stacked.cov[idx.eta, idx.eta], 0.0))
-                p_val = _normal_p_value(stacked.theta[idx.eta] / se) if se > 0 else float("nan")
+                p_val = float(map_intervals(stacked, [idx.eta], lambda v: v, ("eta",)).p_values[0])
             results[m] = MethodResult(effects, stacked, med_fit, out_fit, p_val)
         else:
             results[m] = MethodResult(None, None, med_fit, out_fit, None)

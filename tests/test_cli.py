@@ -348,12 +348,12 @@ class TestForestSvg:
             vals = np.array([-0.32, -0.46, 0.94, 0.79, 0.47])
         se = np.full(len(vals), 0.1)
         return EffectEstimates(
-            kind=kind,
             names=names,
             values=vals,
             cov=np.diag(se**2),
             ci_lower=vals - 1.96 * se,
             ci_upper=vals + 1.96 * se,
+            p_values=np.full(len(vals), 0.5),
         )
 
     def test_single_method_structure(self, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from semimediation.inference import (
     InferenceError,
     StackedFit,
     _index_map,
-    delta_intervals,
     effect_map_g0,
     effect_map_g1,
     effects_from_stacked,
     jacobian_g0,
     jacobian_g1,
+    map_intervals,
     mediate,
     sandwich_covariance,
     stack_fits,
@@ -289,30 +290,49 @@ class TestSandwichAndStacking:
             stack_fits()
 
 
-class TestDeltaIntervals:
+def hand_stack(theta, cov):
+    """A StackedFit with the given estimate and covariance; A and B are unused by the maps."""
+    theta = np.asarray(theta, dtype=float)
+    eye = np.eye(theta.size)
+    return StackedFit(theta, eye, eye, np.asarray(cov, dtype=float))
+
+
+class TestMapIntervals:
     def test_zero_covariance_degenerate(self):
-        values = np.array([1.0, -2.0, 3.0])
-        G = np.zeros((3, 4))
-        cov = np.eye(4)
-        est = delta_intervals(values, G, cov, "no_interaction")
-        assert np.array_equal(est.ci_lower, values)
-        assert np.array_equal(est.ci_upper, values)
+        stacked = hand_stack([1.0, -2.0, 3.0, 0.5], np.zeros((4, 4)))
+        est = map_intervals(stacked, [0, 1, 2], lambda v: v, ("a", "b", "c"))
+        assert np.array_equal(est.ci_lower, est.values)
+        assert np.array_equal(est.ci_upper, est.values)
+        assert np.all(np.isnan(est.p_values))
 
     def test_scalar_arithmetic(self):
-        values = np.array([1.0])
-        G = np.array([[4.0]])
-        cov = np.array([[0.25]])
-        est = delta_intervals(values, G, cov, "no_interaction")
+        est = map_intervals(hand_stack([0.25], [[0.25]]), [0], lambda v: 4.0 * v, ("x",))
+        assert est.values[0] == 1.0
+        assert est.cov[0, 0] == 4.0
         assert est.ci_upper[0] - est.values[0] == pytest.approx(Z95 * 2.0, abs=1e-9)
         assert est.ci_lower[0] == pytest.approx(1.0 - 3.9199, abs=1e-4)
 
     def test_negative_variance_raises(self):
         with pytest.raises(InferenceError, match="covariance"):
-            delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1.0]]), "no_interaction")
+            map_intervals(hand_stack([0.0], [[-1.0]]), [0], lambda v: v, ("x",))
 
     def test_tiny_negative_clipped(self):
-        est = delta_intervals(np.array([0.0]), np.array([[1.0]]), np.array([[-1e-13]]), "no_interaction")
+        est = map_intervals(hand_stack([0.0], [[-1e-13]]), [0], lambda v: v, ("x",))
         assert est.ci_lower[0] == est.ci_upper[0] == 0.0
+
+    def test_p_values_are_two_sided_normal(self):
+        theta, sigma = np.array([0.3, -1.2, 0.7]), np.array([0.2, 0.5, 0.0])
+        est = map_intervals(hand_stack(theta, np.diag(sigma**2)), [0, 1, 2], lambda v: v, ("a", "b", "c"))
+        expected = [math.erfc(abs(t) / (s * math.sqrt(2.0))) for t, s in zip(theta[:2], sigma[:2])]
+        np.testing.assert_allclose(est.p_values[:2], expected, rtol=1e-14)
+        assert math.isnan(est.p_values[2])
+
+    def test_reads_only_the_positions_block(self):
+        cov = np.diag([1.0, 4.0, 9.0])
+        cov[0, 2] = cov[2, 0] = 2.0
+        est = map_intervals(hand_stack([1.0, 2.0, 3.0], cov), [2, 0], lambda v: v, ("c", "a"))
+        assert np.array_equal(est.values, [3.0, 1.0])
+        assert np.array_equal(est.cov, [[9.0, 2.0], [2.0, 1.0]])
 
     def test_pipeline_matches_independent_delta_script(self, laplace_mediation_data):
         data = laplace_mediation_data
@@ -384,8 +404,21 @@ class TestMediate:
 
     def test_interaction_p_value_reported(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=True, method="ols")
-        p = res.methods["ols"].interaction_p_value
+        mr = res.methods["ols"]
+        p = mr.interaction_p_value
         assert p is not None and 0.0 <= p <= 1.0
+        idx = _index_map(mr.mediator_fit.design, mr.outcome_fit.design)
+        eta, se = mr.stacked.theta[idx.eta], math.sqrt(mr.stacked.cov[idx.eta, idx.eta])
+        assert p == math.erfc(abs(eta / se) / math.sqrt(2.0))
+
+    def test_no_interaction_has_no_p_value(self, laplace_mediation_data):
+        res = mediate(laplace_mediation_data, "T", "M", "Y", method="ols")
+        assert res.methods["ols"].interaction_p_value is None
+
+    def test_method_not_run_is_named(self, laplace_mediation_data):
+        res = mediate(laplace_mediation_data, "T", "M", "Y", method="ols")
+        with pytest.raises(InferenceError, match="'semiparametric' was not run; mediate ran ols"):
+            res.effects("semiparametric")
 
     def test_null_configuration_covers_zero(self):
         # outcome unrelated to treatment and mediator: all effects near zero
@@ -463,6 +496,59 @@ class TestMediate:
         for method in ("bogus", "semiparametric"):
             with pytest.raises(InferenceError, match="unknown method"):
                 mediate(laplace_mediation_data, "T", "M", "Y", method=method)
+
+
+def simulated_replicate(law, index, interaction):
+    """n = 300 rows from the simulated model that is fitted, plus an unrelated covariate X1.
+
+    Without interaction the data come from the same model with eta = 0.
+    """
+    config = ScenarioConfig(ErrorSpec(law), n=300, reps=1, seed=31)
+    if not interaction:
+        config = dataclasses.replace(config, dgp=dataclasses.replace(config.dgp, eta=0.0))
+    data = generate_interaction_dataset(config, index)
+    x1 = np.random.default_rng(index).standard_normal(data.n)
+    return dataset_from_arrays(T=data.column("T"), M=data.column("M"), Y=data.column("Y"), X1=x1)
+
+
+def assert_relative(actual, expected, rtol=1e-10):
+    """Agreement to ``rtol`` relative to the largest entry of ``expected``."""
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * np.max(np.abs(expected)))
+
+
+replicates = st.tuples(st.sampled_from(ERROR_LAWS), st.integers(0, 10**6), st.booleans())
+
+
+class TestEquivariance:
+    """Recoding the treatment or shifting a covariate moves the effects as the model says."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(replicate=replicates)
+    def test_treatment_recoding_permutes_and_negates(self, replicate):
+        law, index, interaction = replicate
+        data = simulated_replicate(law, index, interaction)
+        recoded = dataset_from_arrays(**{**data.columns, "T": 1.0 - data.column("T")})
+        # ACME(t) of the recoded treatment is -ACME(1 - t), and likewise ADE.
+        order = [1, 0, 3, 2, 4] if interaction else [0, 1, 2]
+        res = mediate(data, "T", "M", "Y", covariates=("X1",), interaction=interaction)
+        res_recoded = mediate(recoded, "T", "M", "Y", covariates=("X1",), interaction=interaction)
+        for method in ("ols", "semiparametric"):
+            e, r = res.effects(method), res_recoded.effects(method)
+            assert_relative(r.values, -e.values[order])
+            assert_relative(r.ci_length, e.ci_length[order])
+
+    @settings(max_examples=8, deadline=None)
+    @given(replicate=replicates, shift=st.floats(-10.0, 10.0))
+    def test_covariate_shift_leaves_effects(self, replicate, shift):
+        law, index, interaction = replicate
+        data = simulated_replicate(law, index, interaction)
+        shifted = dataset_from_arrays(**{**data.columns, "X1": data.column("X1") + shift})
+        res = mediate(data, "T", "M", "Y", covariates=("X1",), interaction=interaction)
+        res_shifted = mediate(shifted, "T", "M", "Y", covariates=("X1",), interaction=interaction)
+        for method in ("ols", "semiparametric"):
+            e, r = res.effects(method), res_shifted.effects(method)
+            assert_relative(r.values, e.values)
+            assert_relative(r.ci_length, e.ci_length)
 
 
 def near_collinear_data(delta):

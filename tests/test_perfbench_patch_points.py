@@ -67,3 +67,21 @@ def test_traced_mediate_both_fits_each_model_by_least_squares_once():
     assert calls == 2
     per_start = sum(metrics[f"estimators.fit_semiparametric.start_{i}"] for i in TRACING_MODULE.START_INDICES)
     assert per_start == calls - metrics["estimators.fit_semiparametric.failures"]
+
+
+def test_traced_mediate_records_one_effects_span_per_successful_method():
+    # inference.effects_from_stacked.ms reads these spans; a mediate that
+    # stopped calling effects_from_stacked through its module would leave it 0.
+    rng = np.random.default_rng(5)
+    n = 80
+    t = (rng.random(n) < 0.5).astype(float)
+    m = 0.5 * t + rng.laplace(size=n)
+    y = 0.3 * t + 0.6 * m + 0.2 * t * m + rng.laplace(size=n)
+    data = dataset_from_arrays(T=t, M=m, Y=y)
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed():
+        res = mediate(data, treatment="T", mediator="M", outcome="Y", interaction=True, method="both")
+    succeeded = [method for method, mr in res.methods.items() if not mr.failed]
+    assert succeeded == ["ols", "semiparametric"]
+    assert sum(1 for s in tracer.spans if s.name == "inference.effects_from_stacked") == len(succeeded)
+    assert TRACING_MODULE.layer_metrics(tracer.spans, workers=1)["inference.effects_from_stacked.ms"] > 0
