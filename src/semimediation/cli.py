@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 I/O error, 2 usage or
 validation error, 3 semiparametric numerical failure (report still written
-with the least-squares results).
+with the least-squares results). The commands return 0 or 3 and raise
+everything else; ``main`` alone maps an ``OSError`` to 1 and a ``ValueError``
+to 2.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ import os
 import sys
 
 from . import __version__
-from .data import DataError, load_csv
+from .data import load_csv
 from .estimators import FitFailure, RegressionFit
 from .inference import (
     METHOD_OLS,
     METHOD_SEMIPARAMETRIC,
     EffectEstimates,
-    InferenceError,
     MediationResult,
     mediate,
 )
@@ -55,6 +56,13 @@ SCENARIO_NAMES = {
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def _write_json(path: str, payload: dict) -> None:
+    # Serialized first: a stray NaN raises ValueError before the file opens.
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _json_number(x: float | None) -> float | None:
@@ -131,47 +139,24 @@ def cmd_mediate(args: argparse.Namespace) -> int:
     # the covariates here, the other three by their argument type.
     covariates = tuple(filter(None, (c.strip() for c in args.covariates.split(","))))
     referenced = [args.treatment, args.mediator, args.outcome, *covariates]
-    try:
-        dataset = load_csv(args.data, columns=referenced)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    dataset = load_csv(args.data, columns=referenced)
     if args.scale_outcome is not None:
         dataset = dataset.with_scaled_column(args.outcome, args.scale_outcome)
-
-    want_semi = args.method in ("semi", "both")
-    try:
-        result = mediate(
-            dataset,
-            treatment=args.treatment,
-            mediator=args.mediator,
-            outcome=args.outcome,
-            covariates=covariates,
-            interaction=args.interaction,
-            method="both" if want_semi else METHOD_OLS,
-        )
-    except (DataError, InferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    # Serialized first: a stray NaN raises ValueError before the file opens.
-    text = json.dumps(build_mediate_report(args, result, dataset.n_dropped), indent=2, allow_nan=False)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if args.plot:
-            estimates = {m: mr.effects for m, mr in result.methods.items() if mr.effects is not None}
-            emit_forest_svg(estimates, args.plot)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    semi_failed = want_semi and result.methods[METHOD_SEMIPARAMETRIC].failed
-    return EXIT_NUMERICAL if semi_failed else EXIT_OK
+    result = mediate(
+        dataset,
+        treatment=args.treatment,
+        mediator=args.mediator,
+        outcome=args.outcome,
+        covariates=covariates,
+        interaction=args.interaction,
+        method=args.method,
+    )
+    _write_json(args.out, build_mediate_report(args, result, dataset.n_dropped))
+    if args.plot:
+        estimates = {m: mr.effects for m, mr in result.methods.items() if mr.effects is not None}
+        emit_forest_svg(estimates, args.plot)
+    semi = result.methods.get(METHOD_SEMIPARAMETRIC)
+    return EXIT_NUMERICAL if semi is not None and semi.failed else EXIT_OK
 
 
 def _internal_workers() -> int:
@@ -187,13 +172,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     rows, results = run_scenario(config, workers=_internal_workers())
-    try:
-        write_metrics_csv(args.out, rows)
-        if args.log:
-            write_replicate_csv(args.log, results)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_metrics_csv(args.out, rows)
+    if args.log:
+        write_replicate_csv(args.log, results)
     return EXIT_OK
 
 
@@ -229,13 +210,7 @@ def cmd_power(args: argparse.Namespace) -> int:
         },
         "paper_reference": report.paper_reference,
     }
-    text = json.dumps(payload, indent=2, allow_nan=False)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -347,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_med.add_argument("--outcome", required=True, type=str.strip)
     p_med.add_argument("--covariates", default="", help="comma-separated covariate column names")
     p_med.add_argument("--interaction", action="store_true", help="include the treatment*mediator term")
-    p_med.add_argument("--method", choices=["ols", "semi", "both"], default="both")
+    p_med.add_argument("--method", choices=["ols", "both"], default="both", help="ols alone, or both to add the semiparametric fits")
     p_med.add_argument("--scale-outcome", type=float, default=None, metavar="FACTOR", help="multiply the outcome column by FACTOR before fitting")
     p_med.add_argument("--out", default="report.json", help="JSON report path")
     p_med.add_argument("--plot", default=None, help="optional SVG forest-plot path")
@@ -378,9 +353,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -246,9 +246,11 @@ def _kernel_score(
     S0, S1, S2 = M[:, :, 0]
 
     floor = DENSITY_FLOOR_REL * float(S0.max(initial=0.0))
-    ok = S0 >= floor
-    if floor <= 0.0 or not ok.any():
+    # A NaN floor fails this test too; a positive one is always cleared by
+    # the largest S0, so some point is dense.
+    if not floor > 0.0:
         raise EstimationError("degenerate density estimate")
+    ok = S0 >= floor
     raw = np.zeros_like(e)
     np.divide(-S1 / h, S0, out=raw, where=ok)
     # Each point reads its score from src: itself, or the nearest dense point.

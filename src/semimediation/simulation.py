@@ -17,7 +17,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-from .data import DataError, Dataset, dataset_from_arrays
+from .data import Dataset, dataset_from_arrays
 from .estimators import EstimationError
 from .inference import (
     INTERACTION_EFFECTS,
@@ -173,9 +173,9 @@ def _run_replicate(config: ScenarioConfig, index: int) -> list[ReplicateResult]:
     data = generate_interaction_dataset(config, index)
     try:
         result: MediationResult | None = mediate(data, "T", "M", "Y", covariates=(), interaction=True)
-    except (EstimationError, InferenceError, DataError, np.linalg.LinAlgError):
-        # A numerical or input failure of this replicate; anything else is a
-        # bug and propagates.
+    except (EstimationError, InferenceError):
+        # A numerical failure of this replicate. The harness makes its own
+        # data, so anything else, a DataError included, is a bug and propagates.
         result = None
     out: list[ReplicateResult] = []
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):

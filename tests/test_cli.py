@@ -268,18 +268,44 @@ class TestMediateCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert strip_timestamp(load_report(out1)) == strip_timestamp(load_report(out2))
 
-    def test_method_semi_reports_both_tables(self, mediation_csv, tmp_path):
+    def test_method_semi_exits_2(self, mediation_csv, tmp_path, capsys):
         out = tmp_path / "semi.json"
         code = main(
             [
                 "mediate", "--data", str(mediation_csv), "--treatment", "T", "--mediator", "M",
-                "--outcome", "Y", "--interaction", "--method", "semi", "--out", str(out),
+                "--outcome", "Y", "--method", "semi", "--out", str(out),
             ]
         )
-        assert code == 0
-        report = load_report(out)
-        # least-squares results ride along as the documented fallback content
-        assert set(report["effects"]) == {"ols", "semiparametric"}
+        assert code == 2
+        assert "invalid choice: 'semi'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOutputPathErrors:
+    @pytest.mark.parametrize(
+        "command, option",
+        [("mediate", "--out"), ("mediate", "--plot"), ("simulate", "--out"), ("simulate", "--log"), ("power", "--out")],
+    )
+    def test_missing_directory_exits_1_with_one_error_line(self, command, option, mediation_csv, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = {
+            "mediate": [
+                "mediate", "--data", str(mediation_csv), "--treatment", "T", "--mediator", "M",
+                "--outcome", "Y", "--method", "ols", "--out", str(report),
+            ],
+            "simulate": [
+                "simulate", "--scenario", "gaussian", "--n", "60", "--reps", "1", "--seed", "1",
+                "--out", str(tmp_path / "metrics.csv"),
+            ],
+            "power": ["power", "--reps", "1", "--seed", "1"],
+        }[command]
+        # the later of two equal options wins, so this replaces any --out above
+        assert main(argv + [option, str(tmp_path / "absent" / "file")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if option == "--plot":
+            assert load_report(report)["effects"]["ols"]
 
 
 class TestSimulateCommand:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import semimediation.simulation as sim
+from semimediation.data import DataError, dataset_from_arrays
 from semimediation.estimators import EstimationError
 from semimediation.simulation import (
     DgpConstants,
@@ -207,6 +208,17 @@ class TestReplicateFailures:
         assert len(results) == 4
         assert not any(r.success for r in results)
         assert all(np.isnan(r.estimates).all() for r in results)
+
+    def test_data_error_propagates(self, monkeypatch):
+        # The harness makes its own data, so a non-binary treatment is a bug,
+        # not a failed replicate.
+        def two_valued_treatment(config, index):
+            data = generate_interaction_dataset(config, index)
+            return dataset_from_arrays(T=np.full(config.n, 2.0), M=data.column("M"), Y=data.column("Y"))
+
+        monkeypatch.setattr(sim, "generate_interaction_dataset", two_valued_treatment)
+        with pytest.raises(DataError, match="0/1"):
+            run_replicates(self.CONFIG)
 
     def test_programming_error_propagates(self, monkeypatch):
         def buggy_mediate(*args, **kwargs):
