@@ -14,6 +14,7 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .data import load_csv
@@ -54,8 +55,13 @@ SCENARIO_NAMES = {
 }
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _report_header(command: str) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "command": command,
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -68,6 +74,11 @@ def _write_json(path: str, payload: dict) -> None:
 def _json_number(x: float | None) -> float | None:
     """``x`` if it is a finite number, else None: JSON has no NaN or infinity."""
     return x if x is not None and abs(x) < float("inf") else None
+
+
+def _record_fields(record, omit: tuple[str, ...] = ()) -> dict:
+    """A dataclass record's fields in order, each float passed through ``_json_number``."""
+    return {k: _json_number(v) if isinstance(v, float) else v for k, v in asdict(record).items() if k not in omit}
 
 
 def _effects_payload(effects: EffectEstimates, interaction: bool) -> dict:
@@ -91,23 +102,12 @@ def _fit_diagnostics(fit: RegressionFit | FitFailure | None) -> dict | None:
         return None
     if isinstance(fit, FitFailure):
         return {"status": "numerical_failure", "reasons": list(fit.reasons)}
-    d = fit.diagnostics
-    return {
-        "status": "ok",
-        "start_index_used": d.start_index_used,
-        "iterations": d.iterations,
-        "residual_norm": float(d.residual_norm),
-        "rcond": float(d.rcond),
-        "screened_reasons": list(d.screened_reasons),
-    }
+    return {"status": "ok", **_record_fields(fit.diagnostics)}
 
 
 def build_mediate_report(args: argparse.Namespace, result: MediationResult, n_dropped: int) -> dict:
     report: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "mediate",
-        "generated_at": _timestamp(),
+        **_report_header("mediate"),
         "data": {"path": args.data, "n_rows_used": result.n, "n_rows_dropped": n_dropped},
         "model": {
             "treatment": args.treatment,
@@ -182,32 +182,16 @@ def cmd_power(args: argparse.Namespace) -> int:
     config = power_config(reps=args.reps, seed=args.seed)
     report = run_power_study(config, workers=_internal_workers())
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "power",
-        "generated_at": _timestamp(),
+        **_report_header("power"),
         "seed": config.seed,
         "reps": config.reps,
         "design": {
             "n": config.n,
             "error_law": config.error.law,
-            "alpha2": config.dgp.alpha2,
-            "beta2": config.dgp.beta2,
-            "beta3": config.dgp.beta3,
-            "gamma": config.dgp.gamma,
-            "eta": config.dgp.eta,
+            **_record_fields(config.dgp),
             "truth_acme0": report.truth_acme0,
         },
-        "results": {
-            m: {
-                "rejection_rate": _json_number(s.rejection_rate),
-                "mean_estimate": _json_number(s.mean_estimate),
-                "avg_ci_length": _json_number(s.avg_ci_length),
-                "success_rate": s.success_rate,
-                "reps_used": s.reps_used,
-            }
-            for m, s in report.methods.items()
-        },
+        "results": {m: _record_fields(s, omit=("method",)) for m, s in report.methods.items()},
         "paper_reference": report.paper_reference,
     }
     _write_json(args.out, payload)
@@ -220,6 +204,18 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def _svg_number(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _marker(method: str, x1: float, x2: float, xc: float, y: float) -> list[str]:
+    """A method's whisker from x1 to x2 and its circle at xc, on the line y, in the method's style."""
+    semi = method == METHOD_SEMIPARAMETRIC
+    dash = ' stroke-dasharray="5,3"' if semi else ""
+    fill = "black" if semi else "white"
+    return [
+        f'<line x1="{_svg_number(x1)}" y1="{_svg_number(y)}" x2="{_svg_number(x2)}" y2="{_svg_number(y)}" '
+        f'stroke="black" stroke-width="1.5"{dash}/>',
+        f'<circle cx="{_svg_number(xc)}" cy="{_svg_number(y)}" r="4" fill="{fill}" stroke="black" stroke-width="1.2"/>',
+    ]
 
 
 def emit_forest_svg(estimates: dict[str, EffectEstimates], path: str) -> None:
@@ -277,27 +273,13 @@ def emit_forest_svg(estimates: dict[str, EffectEstimates], path: str) -> None:
         offsets = [-6.0, 6.0] if len(methods) == 2 else [0.0]
         for m, dy in zip(methods, offsets):
             eff = estimates[m]
-            y = y_mid + dy
-            x1, x2 = sx(float(eff.ci_lower[i])), sx(float(eff.ci_upper[i]))
-            xc = sx(float(eff.values[i]))
-            dash = ' stroke-dasharray="5,3"' if m == METHOD_SEMIPARAMETRIC else ""
-            fill = "black" if m == METHOD_SEMIPARAMETRIC else "white"
-            parts.append(
-                f'<line x1="{_svg_number(x1)}" y1="{_svg_number(y)}" x2="{_svg_number(x2)}" y2="{_svg_number(y)}" '
-                f'stroke="black" stroke-width="1.5"{dash}/>'
-            )
-            parts.append(
-                f'<circle cx="{_svg_number(xc)}" cy="{_svg_number(y)}" r="4" fill="{fill}" stroke="black" stroke-width="1.2"/>'
-            )
+            parts += _marker(m, sx(float(eff.ci_lower[i])), sx(float(eff.ci_upper[i])), sx(float(eff.values[i])), y_mid + dy)
 
     # legend
     ly = height - 12
     lx = left
     for m in methods:
-        dash = ' stroke-dasharray="5,3"' if m == METHOD_SEMIPARAMETRIC else ""
-        fill = "black" if m == METHOD_SEMIPARAMETRIC else "white"
-        parts.append(f'<line x1="{_svg_number(lx)}" y1="{_svg_number(ly - 4)}" x2="{_svg_number(lx + 26)}" y2="{_svg_number(ly - 4)}" stroke="black" stroke-width="1.5"{dash}/>')
-        parts.append(f'<circle cx="{_svg_number(lx + 13)}" cy="{_svg_number(ly - 4)}" r="4" fill="{fill}" stroke="black" stroke-width="1.2"/>')
+        parts += _marker(m, lx, lx + 26, lx + 13, ly - 4)
         parts.append(f'<text x="{_svg_number(lx + 32)}" y="{_svg_number(ly)}">{m}</text>')
         lx += 180
     parts.append("</svg>")

@@ -158,10 +158,13 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
         raise EstimationError(f"need n > p for least squares (n={n}, p={p})")
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     e = y - X @ beta
-    sigma2 = float(e @ e) / (n - p)
     A = np.zeros((p + 1, p + 1))
-    A[:p, :p] = -(X.T @ X) / n
-    A[p, :p] = -2.0 * (e @ X) / n
+    # Columns so large that these products overflow are reported once, by the
+    # rcond check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2 = float(e @ e) / (n - p)
+        A[:p, :p] = -(X.T @ X) / n
+        A[p, :p] = -2.0 * (e @ X) / n
     A[p, p] = -1.0
     rcond = reciprocal_condition(A)
     if not (rcond > RCOND_MIN):

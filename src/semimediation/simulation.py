@@ -11,7 +11,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class MetricsRow:
     reps_used: int
 
 
-METRICS_HEADER = ("scenario", "method", "effect", "bias", "rmse", "coverage", "avg_length", "success_rate", "reps_used")
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRow))
 REPLICATE_HEADER = ("replicate", "method", "effect", "estimate", "ci_lo", "ci_hi", "success")
 
 
@@ -198,20 +198,25 @@ def run_replicates(config: ScenarioConfig, workers: int = 1) -> list[ReplicateRe
     return [r for chunk in chunks for r in chunk]
 
 
+def _successes(results: list[ReplicateResult], method: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One method's successful replicates as stacked (estimates, ci_lower, ci_upper), k x effects each."""
+    ok = [r for r in results if r.method == method and r.success]
+    shape = (len(ok), len(INTERACTION_EFFECTS))
+    return tuple(np.array([getattr(r, a) for r in ok]).reshape(shape) for a in ("estimates", "ci_lower", "ci_upper"))
+
+
 def aggregate_metrics(scenario: str, results: list[ReplicateResult], truth: np.ndarray, reps: int) -> list[MetricsRow]:
     """Scorecard per method over successful replicates; reps_used records how many."""
     rows: list[MetricsRow] = []
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
-        ok = [r for r in results if r.method == m and r.success]
-        n_ok = len(ok)
+        est_all, lo_all, hi_all = _successes(results, m)
+        n_ok = len(est_all)
         success_rate = n_ok / reps
         for j, effect in enumerate(INTERACTION_EFFECTS):
             if n_ok == 0:
                 rows.append(MetricsRow(scenario, m, effect, math.nan, math.nan, math.nan, math.nan, success_rate, 0))
                 continue
-            est = np.array([r.estimates[j] for r in ok])
-            lo = np.array([r.ci_lower[j] for r in ok])
-            hi = np.array([r.ci_upper[j] for r in ok])
+            est, lo, hi = est_all[:, j], lo_all[:, j], hi_all[:, j]
             rows.append(
                 MetricsRow(
                     scenario=scenario,
@@ -284,21 +289,17 @@ def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:
     acme0 = INTERACTION_EFFECTS.index("ACME(0)")
     summaries: dict[str, PowerMethodSummary] = {}
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
-        ok = [r for r in results if r.method == m and r.success]
-        if ok:
-            lo = np.array([r.ci_lower[acme0] for r in ok])
-            hi = np.array([r.ci_upper[acme0] for r in ok])
-            est = np.array([r.estimates[acme0] for r in ok])
+        est, lo, hi = (a[:, acme0] for a in _successes(results, m))
+        k = len(est)
+        if k:
             rejection = float(np.mean((lo > 0.0) | (hi < 0.0)))
-            summaries[m] = PowerMethodSummary(m, rejection, float(est.mean()), float(np.mean(hi - lo)), len(ok) / config.reps, len(ok))
+            summaries[m] = PowerMethodSummary(m, rejection, float(est.mean()), float(np.mean(hi - lo)), k / config.reps, k)
         else:
             summaries[m] = PowerMethodSummary(m, math.nan, math.nan, math.nan, 0.0, 0)
     return PowerReport(truth_acme0=float(config.dgp.truth()[0]), methods=summaries)
 
 
-def _fmt(x: float | int) -> str:
-    if isinstance(x, int):
-        return str(x)
+def _fmt(x: float) -> str:
     return repr(float(x))
 
 
@@ -307,9 +308,7 @@ def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for r in rows:
-            writer.writerow(
-                [r.scenario, r.method, r.effect, _fmt(r.bias), _fmt(r.rmse), _fmt(r.coverage), _fmt(r.avg_length), _fmt(r.success_rate), r.reps_used]
-            )
+            writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(r))
 
 
 def write_replicate_csv(path: str, results: list[ReplicateResult]) -> None:

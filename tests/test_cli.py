@@ -7,7 +7,8 @@ import pytest
 
 from semimediation import cli, inference
 from semimediation.cli import emit_forest_svg, main
-from semimediation.estimators import FitFailure
+from semimediation.data import load_csv
+from semimediation.estimators import EstimationError, FitFailure
 from semimediation.inference import EffectEstimates, mediate
 
 
@@ -199,6 +200,28 @@ class TestMediateCommand:
         assert "rank-deficient or ill-conditioned" in err and "rcond=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column", ["X1", "M", "Y"])
+    def test_overflowing_column_exits_2_with_one_error_line(self, mediation_csv, tmp_path, capsys, column):
+        # Products of 1e160-sized cells overflow; the rcond check reports them,
+        # with no numpy warning before the error.
+        data = load_csv(str(mediation_csv)).with_scaled_column(column, 1e160)
+        with pytest.raises(EstimationError, match="rank-deficient or ill-conditioned"):
+            mediate(data, "T", "M", "Y", covariates=("X1",), method="ols")
+        path = tmp_path / "huge.csv"
+        rows = ["T,M,Y,X1"] + [",".join(repr(float(data.column(c)[i])) for c in ("T", "M", "Y", "X1")) for i in range(data.n)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        args = ["mediate", "--data", str(path), "--treatment", "T", "--mediator", "M", "--outcome", "Y"]
+        assert main(args + ["--covariates", "X1", "--method", "ols", "--out", str(tmp_path / "never.json")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: design matrix is rank-deficient or ill-conditioned")
+
+    def test_empty_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        args = ["mediate", "--data", str(path), "--treatment", "T", "--mediator", "M", "--outcome", "Y"]
+        assert main(args + ["--out", str(tmp_path / "never.json")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: empty file"]
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(
             [
@@ -242,6 +265,21 @@ class TestMediateCommand:
         assert report["diagnostics"]["semiparametric"]["outcome"]["status"] == "numerical_failure"
         assert len(report["diagnostics"]["semiparametric"]["outcome"]["reasons"]) == 5
         assert report["warnings"]
+
+    def test_mediator_failure_writes_null_outcome_and_exits_3(self, mediation_csv, tmp_path, monkeypatch):
+        # mediate skips the outcome's semiparametric fit once the mediator's fails.
+        monkeypatch.setattr(inference, "fit_semiparametric", lambda ols: FitFailure(("stub reason",)))
+        out = tmp_path / "failed.json"
+        args = ["mediate", "--data", str(mediation_csv), "--treatment", "T", "--mediator", "M", "--outcome", "Y"]
+        assert main(args + ["--covariates", "X1", "--interaction", "--method", "both", "--out", str(out)]) == 3
+        report = load_strict_json(out)
+        semi = report["diagnostics"]["semiparametric"]
+        assert semi["mediator"] == {"status": "numerical_failure", "reasons": ["stub reason"]}
+        assert semi["outcome"] is None
+        assert list(report["effects"]) == ["ols"]
+        assert [e["name"] for e in report["effects"]["ols"]["effects"]] == ["ACME(0)", "ACME(1)", "ADE(0)", "ADE(1)", "ATE"]
+        assert report["diagnostics"]["ols"]["outcome"]["status"] == "ok"
+        assert report["warnings"] == ["semiparametric fit flagged as a numerical failure; see diagnostics"]
 
     def test_undefined_interaction_p_value_written_as_null(self, mediation_csv, tmp_path, monkeypatch):
         # The p-value is NaN when the interaction's SE is 0.

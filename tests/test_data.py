@@ -2,6 +2,7 @@ import csv
 import logging
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestLoadCsv:
     def test_header_only_is_error(self, tmp_path, columns):
         with pytest.raises(DataError, match=r"no usable rows after filtering \(0 dropped\)"):
             load_csv(write(tmp_path, "a,b\n"), columns=columns)
+
+    def test_empty_file_is_error(self, tmp_path):
+        with pytest.raises(DataError, match=r"data\.csv: empty file$"):
+            load_csv(write(tmp_path, ""))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL bytes before Python 3.11")
+    def test_nul_byte_in_unread_cell_takes_rows_route(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="semimediation.data")
+        text = "a,b,c\n1,x{}y,2.5\n3,z,nan\n4,w,5\n"
+        expected = load_csv(write(tmp_path, text.format(""), "plain.csv"), columns=["c", "a"])
+        ds = load_csv(write(tmp_path, text.format("\0"), "nul.csv"), columns=["c", "a"])
+        assert (ds.column_names, ds.n, ds.n_dropped) == (expected.column_names, expected.n, expected.n_dropped) == (("c", "a"), 2, 1)
+        for name in ds.column_names:
+            assert ds.column(name).tobytes() == expected.column(name).tobytes()
+        routes = [r.getMessage().split(": ", 1)[1] for r in caplog.records if r.levelno == logging.DEBUG]
+        assert routes == ["bulk route kept 2 row(s), dropped 1", "rows route kept 2 row(s), dropped 1; bulk parse declined: NUL byte"]
 
     def test_one_row_and_one_column(self, tmp_path):
         ds = load_csv(write(tmp_path, "a,b\n1,2\n"))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -199,15 +200,20 @@ class TestRunScenario:
 class TestReplicateFailures:
     CONFIG = ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=60, reps=2, seed=4)
 
-    def test_estimation_error_is_a_failed_replicate(self, monkeypatch):
+    def test_estimation_error_is_a_failed_replicate(self, monkeypatch, caplog):
         def failing_mediate(*args, **kwargs):
             raise EstimationError("degenerate density estimate")
 
         monkeypatch.setattr(sim, "mediate", failing_mediate)
-        results = run_replicates(self.CONFIG)
+        caplog.set_level(logging.WARNING, logger="semimediation.simulation")
+        rows, results = run_scenario(self.CONFIG)
         assert len(results) == 4
         assert not any(r.success for r in results)
         assert all(np.isnan(r.estimates).all() for r in results)
+        assert all(r.success_rate == 0.0 and r.reps_used == 0 for r in rows)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"scenario gaussian: pervasive failure for {m} (success rate 0.000)" for m in ("ols", "semiparametric")
+        ]
 
     def test_data_error_propagates(self, monkeypatch):
         # The harness makes its own data, so a non-binary treatment is a bug,
