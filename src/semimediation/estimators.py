@@ -21,12 +21,15 @@ models, by ``inference.stack_fits``. Every Jacobian is exact and
 closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and
 one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
-sums. The pass runs over row blocks of the kernel matrix in two reused
-buffers, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
-O(n p), never O(n^2). ``fit_semiparametric`` reads its design and response
-from the least-squares fit that seeds its starts, and Newton hands back the
-rows and ``A`` of its evaluation at the root together with the root, so no
-kernel pass follows the solve.
+sums. The pass runs over row blocks of the kernel matrix in one reused
+buffer, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
+O(n p), never O(n^2). Each block takes three sweeps: the exponent as one
+rank-3 product of the mean-centred residuals, ``exp``, and one product with
+[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum.
+``fit_semiparametric`` reads its design and response from the least-squares
+fit that seeds its starts, and Newton hands back the rows and ``A`` of its
+evaluation at the root together with the root, so no kernel pass follows
+the solve.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ COEF_OLS_DEV_MAX = 15.0
 # bandwidth-scaled cap applied to the final score values.
 DENSITY_FLOOR_REL = 1e-3
 SCORE_CLIP_OVER_H = 10.0
-# Memory for the kernel pass's two row-block buffers, about one core's L2:
-# up to n of about 360 the pass is a single block. Of budgets from 0.5 to
-# 32 MiB this was the fastest at n = 20 000 on a 2-vCPU VM with 2 MiB of L2
-# per core (32 MiB took 1.5 times as long).
+# Memory for the kernel pass's row-block buffer, about one core's L2: up to
+# n of about 512 the pass is a single block. Of budgets from 0.5 to 32 MiB
+# this was the fastest at n = 20 000 for the earlier two-buffer pass, on a
+# 2-vCPU VM with 2 MiB of L2 per core (32 MiB took 1.5 times as long); for
+# the one-buffer pass neither 1 nor 4 MiB was faster in every run at
+# n = 3000 to 20 000.
 KERNEL_BLOCK_BYTES = 2 * 1024 * 1024
 
 
@@ -208,45 +213,49 @@ def _kernel_score(
       alone. Clipped points hold 0.
 
     Clamped points take the derivative of the point whose score they copy.
+    ``X[:, 0]`` must be the intercept column, so that the moments over X's
+    columns hold the S_j in their first column.
 
-    The pass runs over blocks of rows = ``KERNEL_BLOCK_BYTES`` // (16 n) rows,
-    at least one, in two reused rows x n buffers (u and K), which take at most
-    max(``KERNEL_BLOCK_BYTES``, 16 n) bytes together; the rest is O(n p). Each
-    block's moments M_j = sum_k u^j K [1, x_k], j = 0, 1, 2, come from three
-    products with G = [1 | X], and S3 from one row-wise dot product. The
-    nearest dense point of a clamped one is found in blocks of as many rows.
+    The n^2 work is three sweeps per block of rows, in one reused rows x n
+    buffer. With a = (e - ebar) / h, the exponent -u_ik^2 / 2 =
+    a_i a_k - a_i^2 / 2 - a_k^2 / 2 is one rank-3 product, then ``exp`` runs
+    in place and the diagonal is zeroed. One product of K with
+    [X, a X, a^2 X, a^3] gives B_j = sum_k a_k^j K x_k and B3 = sum_k a_k^3 K,
+    and u_ik = a_i - a_k expands the moments M_j = sum_k u^j K x_k in O(n p):
+    M0 = B0, M1 = a B0 - B1, M2 = a^2 B0 - 2 a B1 + B2 and
+    S3 = a^3 S0 - 3 a^2 B1[:, 0] + 3 a B2[:, 0] - B3. The expansion loses
+    about |a_i|^j units in the last place of M_j, hence the centring at the
+    mean: by Chebyshev's inequality at most a share f of the residuals lies
+    beyond sd / sqrt(f) of it, so |a| is small where they are dense, and a
+    far outlier moves the centre by only its distance over n. The blocks
+    have rows = ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least one, so the
+    buffer takes at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes; the rest is
+    O(n p). The nearest dense point of a clamped one is found in blocks of
+    as many rows.
     """
     n, p = X.shape
-    G = np.empty((n, p + 1))
-    G[:, 0] = 1.0
-    G[:, 1:] = X
-    M = np.empty((3, n, p + 1))
-    S3 = np.empty(n)
-    # u = [e, 1] @ [1; -e] rounds each e_i - e_k once, as np.subtract.outer
-    # does, but fills the buffer 2.5 times as fast at n = 300; the block is
-    # then scaled by 1 / h.
-    lhs = np.column_stack([e, np.ones(n)])
-    rhs = np.vstack([np.ones(n), -e])
-    inv_h = 1.0 / h
-    rows = max(1, min(n, KERNEL_BLOCK_BYTES // (16 * n)))
-    u_buf = np.empty((rows, n))
+    a = (e - e.mean()) / h
+    half_sq = -0.5 * a * a
+    lhs = np.column_stack([a, half_sq, np.ones(n)])
+    rhs = np.vstack([a, np.ones(n), half_sq])
+    aX = a[:, None] * X
+    powers = np.column_stack([X, aX, a[:, None] * aX, a * a * a])
+    B = np.empty((n, 3 * p + 1))
+    rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
     K_buf = np.empty((rows, n))
-    for a in range(0, n, rows):
-        b = min(n, a + rows)
-        u, K = u_buf[: b - a], K_buf[: b - a]
-        np.matmul(lhs[a:b], rhs, out=u)
-        u *= inv_h
-        np.multiply(u, u, out=K)
-        K *= -0.5
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        K = K_buf[: hi - lo]
+        np.matmul(lhs[lo:hi], rhs, out=K)
         np.exp(K, out=K)
-        K.reshape(-1)[a :: n + 1] = 0.0  # entries (i, a + i): leave one out
-        np.matmul(K, G, out=M[0, a:b])
-        K *= u
-        np.matmul(K, G, out=M[1, a:b])
-        K *= u
-        np.matmul(K, G, out=M[2, a:b])
-        np.einsum("ik,ik->i", K, u, out=S3[a:b])
-    S0, S1, S2 = M[:, :, 0]
+        K.reshape(-1)[lo :: n + 1] = 0.0  # entries (i, lo + i): leave one out
+        np.matmul(K, powers, out=B[lo:hi])
+    B0, B1, B2, B3 = B[:, :p], B[:, p : 2 * p], B[:, 2 * p : 3 * p], B[:, 3 * p]
+    ac = a[:, None]
+    M1 = ac * B0 - B1
+    M2 = ac * (ac * B0 - 2.0 * B1) + B2
+    S0, S1, S2 = B0[:, 0], M1[:, 0], M2[:, 0]
+    S3 = a * (a * (a * S0 - 3.0 * B1[:, 0]) + 3.0 * B2[:, 0]) - B3
 
     floor = DENSITY_FLOOR_REL * float(S0.max(initial=0.0))
     # A NaN floor fails this test too; a positive one is always cleared by
@@ -261,23 +270,23 @@ def _kernel_score(
     if not ok.all():
         bad = np.flatnonzero(~ok)
         good = np.flatnonzero(ok)
-        for a in range(0, bad.size, rows):
-            blk = bad[a : a + rows]
+        for lo in range(0, bad.size, rows):
+            blk = bad[lo : lo + rows]
             src[blk] = good[np.abs(e[blk, None] - e[good]).argmin(axis=1)]
     clip = SCORE_CLIP_OVER_H / h
     score = np.clip(raw[src], -clip, clip)
     clipped = np.abs(raw[src]) > clip
 
     # score = -q / h with q = S1 / S0. With C = M0 - M2 + q M1 the derivatives
-    # collapse to h (dS1 - q dS0) = -x C[0] + C[1:] - (S1 - S3 + q S2) dh,
-    # and the frozen score keeps only the -x C[0] term.
+    # collapse to h (dS1 - q dS0) = -x C[:, 0] + C - (S1 - S3 + q S2) dh, and
+    # the frozen score keeps only the -x C[:, 0] term.
     inv = np.zeros_like(S0)
     np.divide(1.0, S0, out=inv, where=ok)
     q = S1 * inv
     w = inv / (h * h)
-    C = M[0] - M[2] + q[:, None] * M[1]
+    C = B0 - M2 + q[:, None] * M1
     draw_frozen = X * (C[:, 0] * w)[:, None]
-    draw = draw_frozen - C[:, 1:] * w[:, None] + np.outer((S1 - S3 + q * S2) * w - raw / h, dh)
+    draw = draw_frozen - C * w[:, None] + np.outer((S1 - S3 + q * S2) * w - raw / h, dh)
     ds_newton = draw[src]
     ds_newton[clipped] = -np.outer(score[clipped], dh) / h
     ds_frozen = draw_frozen[src]
