@@ -14,6 +14,7 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,20 @@ class DesignMatrix:
 
     def covariate_indices(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.column_roles) if r == ROLE_COVARIATE)
+
+    @cached_property
+    def column_means(self) -> np.ndarray:
+        """The mean of every column, computed on first use and kept read-only with the design."""
+        means = self.values.mean(axis=0)
+        means.flags.writeable = False
+        return means
+
+    @cached_property
+    def centered_regressors(self) -> np.ndarray:
+        """The non-intercept columns minus their means, computed on first use and kept read-only."""
+        centered = self.values[:, 1:] - self.column_means[1:]
+        centered.flags.writeable = False
+        return centered
 
 
 def load_csv(path: str, columns: list[str] | None = None) -> Dataset:

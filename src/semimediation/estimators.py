@@ -25,7 +25,12 @@ sums. The pass runs over row blocks of the kernel matrix in one reused
 buffer, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
 O(n p), never O(n^2). Each block takes three sweeps: the exponent as one
 rank-3 product of the mean-centred residuals, ``exp``, and one product with
-[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum.
+[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum. The
+rest of a pass is O(n p) bookkeeping, held transposed so that each
+elementwise step runs along n; the gathers for points below the density
+floor and the fix-ups for clipped scores run only when such points exist,
+and what depends on the design alone (its centred regressors and column
+means) is computed once per design.
 ``fit_semiparametric`` reads its design and response from the least-squares
 fit that seeds its starts, and Newton hands back the rows and ``A`` of its
 evaluation at the root together with the root, so no kernel pass follows
@@ -34,6 +39,7 @@ the solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -186,6 +192,45 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     return RegressionFit(np.append(beta, sigma2), "ols", psi, A, diag, design, y)
 
 
+def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
+    """K @ [X, a X, a^2 X, a^3] for K_ik = exp(-(a_i - a_k)^2 / 2) with K_ii = 0.
+
+    ``Xt`` is X transposed. K is formed ``rows`` rows at a time in one reused
+    buffer; the buffer and the product's operands are freed on return, so only
+    the n x (3p + 1) result outlives the call.
+
+    The product keeps its 3p + 1 columns. Padding them with zero columns to a
+    multiple of four runs OpenBLAS 0.3.31's full-width kernels (about 30 %
+    faster at n = 300, p = 4), but for p = 3, 6 or 8 at some n it changes the
+    last bits of the real columns, and so the fitted numbers.
+    """
+    p, n = Xt.shape
+    # The exponent's factors: rows [a_i, -a_i^2 / 2, 1] times columns [a_k, 1, -a_k^2 / 2].
+    lhs = np.empty((n, 3))
+    lhs[:, 0] = a
+    np.multiply(-0.5 * a, a, out=lhs[:, 1])
+    lhs[:, 2] = 1.0
+    rhs = lhs.T[[0, 2, 1]]
+    powers = np.empty((n, 3 * p + 1))
+    # Filled through its transpose, whose rows are x_j, a x_j and a^2 x_j for
+    # each column j of X, then a^3, so that each multiplication runs along n.
+    P = powers.T
+    P[:p] = Xt
+    np.multiply(a, Xt, out=P[p : 2 * p])
+    np.multiply(a, P[p : 2 * p], out=P[2 * p : 3 * p])
+    np.multiply(a * a, a, out=P[3 * p])
+    B = np.empty_like(powers)
+    K_buf = np.empty((rows, n))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        K = K_buf[: hi - lo]
+        np.matmul(lhs[lo:hi], rhs, out=K)
+        np.exp(K, out=K)
+        K.reshape(-1)[lo :: n + 1] = 0.0  # entries (i, lo + i): leave one out
+        np.matmul(K, powers, out=B[lo:hi])
+    return B
+
+
 def _kernel_score(
     e: np.ndarray,
     h: float,
@@ -216,46 +261,38 @@ def _kernel_score(
     ``X[:, 0]`` must be the intercept column, so that the moments over X's
     columns hold the S_j in their first column.
 
-    The n^2 work is three sweeps per block of rows, in one reused rows x n
-    buffer. With a = (e - ebar) / h, the exponent -u_ik^2 / 2 =
-    a_i a_k - a_i^2 / 2 - a_k^2 / 2 is one rank-3 product, then ``exp`` runs
-    in place and the diagonal is zeroed. One product of K with
+    The n^2 work (``_kernel_product``) is three sweeps per block of rows, in
+    one reused rows x n buffer. With a = (e - ebar) / h, the exponent
+    -u_ik^2 / 2 = a_i a_k - a_i^2 / 2 - a_k^2 / 2 is one rank-3 product, then
+    ``exp`` runs in place and the diagonal is zeroed. One product of K with
     [X, a X, a^2 X, a^3] gives B_j = sum_k a_k^j K x_k and B3 = sum_k a_k^3 K,
     and u_ik = a_i - a_k expands the moments M_j = sum_k u^j K x_k in O(n p):
     M0 = B0, M1 = a B0 - B1, M2 = a^2 B0 - 2 a B1 + B2 and
-    S3 = a^3 S0 - 3 a^2 B1[:, 0] + 3 a B2[:, 0] - B3. The expansion loses
-    about |a_i|^j units in the last place of M_j, hence the centring at the
-    mean: by Chebyshev's inequality at most a share f of the residuals lies
-    beyond sd / sqrt(f) of it, so |a| is small where they are dense, and a
-    far outlier moves the centre by only its distance over n. The blocks
-    have rows = ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least one, so the
-    buffer takes at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes; the rest is
-    O(n p). The nearest dense point of a clamped one is found in blocks of
-    as many rows.
+    S3 = a^3 S0 - 3 a^2 B1_0 + 3 a B2_0 - B3, with _0 the intercept column.
+    The expansion loses about |a_i|^j units in the last place of M_j, hence
+    the centring at the mean: by Chebyshev's inequality at most a share f of
+    the residuals lies beyond sd / sqrt(f) of it, so |a| is small where they
+    are dense, and a far outlier moves the centre by only its distance over
+    n. The blocks have rows = ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least
+    one, so the buffer takes at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes,
+    and it is freed before the O(n p) assembly. The assembly holds its arrays
+    transposed, one column of length n per row, so that each elementwise step
+    runs along n rather than across the p columns. The nearest dense point of
+    a clamped one is found in blocks of as many rows. When every point is
+    dense, each reads its own values with no gather, and when none is clipped
+    the clip fix-ups are skipped.
     """
     n, p = X.shape
     a = (e - e.mean()) / h
-    half_sq = -0.5 * a * a
-    lhs = np.column_stack([a, half_sq, np.ones(n)])
-    rhs = np.vstack([a, np.ones(n), half_sq])
-    aX = a[:, None] * X
-    powers = np.column_stack([X, aX, a[:, None] * aX, a * a * a])
-    B = np.empty((n, 3 * p + 1))
     rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
-    K_buf = np.empty((rows, n))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        K = K_buf[: hi - lo]
-        np.matmul(lhs[lo:hi], rhs, out=K)
-        np.exp(K, out=K)
-        K.reshape(-1)[lo :: n + 1] = 0.0  # entries (i, lo + i): leave one out
-        np.matmul(K, powers, out=B[lo:hi])
-    B0, B1, B2, B3 = B[:, :p], B[:, p : 2 * p], B[:, 2 * p : 3 * p], B[:, 3 * p]
-    ac = a[:, None]
-    M1 = ac * B0 - B1
-    M2 = ac * (ac * B0 - 2.0 * B1) + B2
-    S0, S1, S2 = B0[:, 0], M1[:, 0], M2[:, 0]
-    S3 = a * (a * (a * S0 - 3.0 * B1[:, 0]) + 3.0 * B2[:, 0]) - B3
+    Xt = X.T.copy()
+    B = _kernel_product(a, Xt, rows).T.copy()
+    B0, B1, B2, B3 = B[:p], B[p : 2 * p], B[2 * p : 3 * p], B[3 * p]
+    M1 = a * B0
+    M2 = a * (M1 - 2.0 * B1) + B2
+    M1 -= B1
+    S0, S1, S2 = B0[0], M1[0], M2[0]
+    S3 = a * (a * (a * S0 - 3.0 * B1[0]) + 3.0 * B2[0]) - B3
 
     floor = DENSITY_FLOOR_REL * float(S0.max(initial=0.0))
     # A NaN floor fails this test too; a positive one is always cleared by
@@ -265,40 +302,49 @@ def _kernel_score(
     ok = S0 >= floor
     raw = np.zeros_like(e)
     np.divide(-S1 / h, S0, out=raw, where=ok)
-    # Each point reads its score from src: itself, or the nearest dense point.
-    src = np.arange(n)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        good = np.flatnonzero(ok)
-        for lo in range(0, bad.size, rows):
-            blk = bad[lo : lo + rows]
-            src[blk] = good[np.abs(e[blk, None] - e[good]).argmin(axis=1)]
-    clip = SCORE_CLIP_OVER_H / h
-    score = np.clip(raw[src], -clip, clip)
-    clipped = np.abs(raw[src]) > clip
 
     # score = -q / h with q = S1 / S0. With C = M0 - M2 + q M1 the derivatives
-    # collapse to h (dS1 - q dS0) = -x C[:, 0] + C - (S1 - S3 + q S2) dh, and
-    # the frozen score keeps only the -x C[:, 0] term.
+    # collapse to h (dS1 - q dS0) = -x C_0 + C - (S1 - S3 + q S2) dh, and
+    # the frozen score keeps only the -x C_0 term.
     inv = np.zeros_like(S0)
     np.divide(1.0, S0, out=inv, where=ok)
     q = S1 * inv
     w = inv / (h * h)
-    C = B0 - M2 + q[:, None] * M1
-    draw_frozen = X * (C[:, 0] * w)[:, None]
-    draw = draw_frozen - C * w[:, None] + np.outer((S1 - S3 + q * S2) * w - raw / h, dh)
-    ds_newton = draw[src]
-    ds_newton[clipped] = -np.outer(score[clipped], dh) / h
-    ds_frozen = draw_frozen[src]
-    ds_frozen[clipped] = 0.0
-    return score, ds_newton, ds_frozen
+    C = B0 - M2 + q * M1
+    ds_frozen = Xt * (C[0] * w)
+    ds_newton = ds_frozen - C * w
+    ds_newton += dh[:, None] * ((S1 - S3 + q * S2) * w - raw / h)
+    # A point below the floor reads its score and derivatives from the
+    # nearest dense point; when every point is dense each reads its own.
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        good = np.flatnonzero(ok)
+        src = np.arange(n)
+        for lo in range(0, bad.size, rows):
+            blk = bad[lo : lo + rows]
+            src[blk] = good[np.abs(e[blk, None] - e[good]).argmin(axis=1)]
+        raw, ds_newton, ds_frozen = raw[src], ds_newton[:, src], ds_frozen[:, src]
+    clip = SCORE_CLIP_OVER_H / h
+    score = np.clip(raw, -clip, clip)
+    clipped = np.abs(raw) > clip
+    if clipped.any():
+        ds_newton[:, clipped] = -np.outer(dh, score[clipped]) / h
+        ds_frozen[:, clipped] = 0.0
+    return score, ds_newton.T.copy(), ds_frozen.T.copy()
 
 
-def silverman_bandwidth(residuals: np.ndarray) -> float:
-    sd = float(np.std(residuals, ddof=1))
+def silverman_bandwidth(centered: np.ndarray) -> float:
+    """Silverman's bandwidth 1.06 sd n^(-1/5) from the residuals' deviations from their mean.
+
+    The sum of squares is the one ``np.std`` forms, so the bandwidth equals
+    ``1.06 * np.std(e, ddof=1) * n ** -0.2`` bit for bit when ``centered`` is
+    ``e - e.mean()``.
+    """
+    n = centered.size
+    sd = math.sqrt(float(np.add.reduce(centered * centered)) / (n - 1))
     if sd == 0.0:
         raise EstimationError("zero-variance residuals: kernel bandwidth is 0")
-    return 1.06 * sd * residuals.size ** (-0.2)
+    return 1.06 * sd * n ** (-0.2)
 
 
 def semiparam_psi(
@@ -315,7 +361,8 @@ def semiparam_psi(
     rows (x_ij - xbar_j) times the centered score, variance row e_i^2 - sigma2.
     Each observation's own kernel is left out of its score evaluation; keeping
     it shrinks the in-sample scores and steepens their derivative, which biases
-    the downstream sandwich. The bandwidth is Silverman's, 1.06 sd n^(-1/5).
+    the downstream sandwich. The bandwidth is Silverman's, 1.06 sd n^(-1/5),
+    taken from the centred residuals that ``dh`` needs as well.
 
     ``J`` differentiates the re-estimated score, bandwidth included
     (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)); Newton solves with it.
@@ -335,10 +382,10 @@ def semiparam_psi(
     e = y - X @ beta
     if e.size < 10:
         raise EstimationError(f"need at least 10 residuals for score estimation (got {e.size})")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise EstimationError("residuals contain non-finite values")
-    h = silverman_bandwidth(e)
     dev = e - e.mean()
+    h = silverman_bandwidth(dev)
     dh = -h * (dev @ X) / (dev @ dev)
     s, ds_newton, ds_frozen = _kernel_score(e, h, X, dh)
 
@@ -353,11 +400,11 @@ def semiparam_psi(
     n, p = X.shape
     psi = np.empty((n, p + 1))
     psi[:, 0] = e
-    x_centered = X[:, 1:] - X[:, 1:].mean(axis=0)
-    psi[:, 1:p] = x_centered * (s - s.mean())[:, None]
+    x_centered = design.centered_regressors
+    np.multiply(x_centered, (s - s.mean())[:, None], out=psi[:, 1:p])
     psi[:, p] = e * e - sigma2
     J = np.zeros((p + 1, p + 1))
-    J[0, :p] = -X.mean(axis=0)
+    J[0, :p] = -design.column_means
     J[p, :p] = -2.0 * (e @ X) / n
     J[p, p] = -1.0
     A = J.copy()
@@ -383,20 +430,20 @@ def newton_root(
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, J, extra = F(x)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         return NewtonResult(x, extra, 0, float("inf"), "non-finite function value at start")
-    norm = float(np.max(np.abs(fx)))
+    norm = float(np.abs(fx).max())
     if norm < NEWTON_RESIDUAL_TOL:
         return NewtonResult(x, extra, 0, norm)
 
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             return NewtonResult(x, extra, iteration, norm, "non-finite jacobian")
         try:
             dx = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
             return NewtonResult(x, extra, iteration, norm, "singular jacobian")
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             return NewtonResult(x, extra, iteration, norm, "singular jacobian")
 
         # Step-halving line search on ||F||_inf; if no halving finds a
@@ -406,17 +453,17 @@ def newton_root(
         x_new = x + dx
         f_new, J_new, extra_new = F(x_new)
         for _ in range(MAX_STEP_HALVINGS):
-            if np.all(np.isfinite(f_new)) and float(np.max(np.abs(f_new))) < norm:
+            if np.isfinite(f_new).all() and float(np.abs(f_new).max()) < norm:
                 break
             t /= 2.0
             x_new = x + t * dx
             f_new, J_new, extra_new = F(x_new)
-        if not np.all(np.isfinite(f_new)):
+        if not np.isfinite(f_new).all():
             return NewtonResult(x, extra, iteration, norm, "non-finite function value")
 
         step_norm = float(np.linalg.norm(t * dx))
         x, fx, J, extra = x_new, f_new, J_new, extra_new
-        norm = float(np.max(np.abs(fx)))
+        norm = float(np.abs(fx).max())
         if norm < NEWTON_RESIDUAL_TOL or (step_norm < NEWTON_STEP_TOL and norm <= ACCEPT_PSI_MEAN_TOL):
             return NewtonResult(x, extra, iteration, norm)
         if step_norm < NEWTON_STEP_TOL:

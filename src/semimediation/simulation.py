@@ -95,6 +95,8 @@ class ScenarioConfig:
             raise ValueError(f"n must be at least 30 (got {self.n})")
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1 (got {self.reps})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer (got {self.seed})")
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,14 @@ class TestSimulateCommand:
             assert name in err
 
 
+    @pytest.mark.parametrize("command", [["simulate", "--scenario", "gaussian", "--n", "100"], ["power"]])
+    def test_negative_seed_exits_2_naming_the_seed(self, command, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert main([*command, "--reps", "2", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer (got -1)\n"
+        assert not out.exists()
+
+
 class TestPowerCommand:
     def test_single_replicate(self, tmp_path):
         out = tmp_path / "power.json"

@@ -396,6 +396,19 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="distinct"):
             build_design(ds, ModelSpec(response="Y", treatment="T", covariates=("T",)))
 
+    def test_column_means_and_centered_regressors_are_kept_read_only(self, laplace_mediation_data):
+        design = build_design(
+            laplace_mediation_data,
+            ModelSpec(response="Y", treatment="T", mediator="M", covariates=("X1",), interaction=True),
+        )
+        X = design.values
+        assert design.column_means.tobytes() == X.mean(axis=0).tobytes()
+        assert design.centered_regressors.tobytes() == (X[:, 1:] - X[:, 1:].mean(axis=0)).tobytes()
+        assert design.centered_regressors is design.centered_regressors
+        for kept in (design.column_means, design.centered_regressors):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0.0
+
 
 def test_scaled_column_copy_semantics():
     ds = dataset_from_arrays(T=np.array([0.0, 1.0]), Y=np.array([1.0, 2.0]))

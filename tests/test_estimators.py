@@ -120,7 +120,7 @@ def fit_sandwich(fit):
 
 def kernel_score(e):
     """Leave-one-out score at the residuals themselves, and the Silverman bandwidth it used."""
-    h = estimators.silverman_bandwidth(e)
+    h = estimators.silverman_bandwidth(e - e.mean())
     return estimators._kernel_score(e, h, np.ones((e.size, 1)), np.zeros(1))[0], h
 
 
@@ -149,6 +149,24 @@ class TestKernelScore:
         assert np.all(np.abs(s) <= 10.0 / h)
         # the outlier copies the score of the nearest adequately dense point
         assert s[-1] in s[:-1]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(10, 400),
+        law=st.sampled_from(ERROR_LAWS),
+        scale=st.floats(1e-4, 1e4),
+        shift=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_pass_uses_silverman_bandwidth_of_the_sample_sd(self, seed, n, law, scale, shift):
+        from semimediation.data import DesignMatrix
+
+        # An intercept-only design at beta = 0 makes the residuals the response.
+        e = shift + scale * sample_error(ErrorSpec(law), np.random.default_rng(seed), n)
+        design = DesignMatrix(np.ones((n, 1)), ("intercept",), 1)
+        with mock.patch.object(estimators, "_kernel_score", wraps=estimators._kernel_score) as kernel_pass:
+            semiparam_psi(design, e, np.array([0.0, 1.0]))
+        assert kernel_pass.call_args.args[1] == 1.06 * np.std(e, ddof=1) * n**-0.2
 
     def test_zero_variance_is_error(self):
         design, resp = simple_design(np.array([0.0, 1.0] * 10), np.ones(20))
@@ -864,7 +882,7 @@ class TestKernelBlocks:
         e = hard_residuals(kind, n, rng)
         X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
         dh = rng.standard_normal(p)
-        h = estimators.silverman_bandwidth(e)
+        h = estimators.silverman_bandwidth(e - e.mean())
         with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(n, rows or n)):
             got = estimators._kernel_score(e, h, X, dh)
         for g, want in zip(got, direct_kernel_oracle(e, h, X, dh)):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semimediation import estimators, inference
 from semimediation.data import ModelSpec, build_design, dataset_from_arrays
-from semimediation.estimators import EstimationError, fit_ols, fit_semiparametric
+from semimediation.estimators import EstimationError, FitFailure, fit_ols, fit_semiparametric
 from semimediation.inference import (
     InferenceError,
     StackedFit,
@@ -517,12 +517,30 @@ def assert_relative(actual, expected, rtol=1e-10):
 
 
 replicates = st.tuples(st.sampled_from(ERROR_LAWS), st.integers(0, 10**6), st.booleans())
+# Its semiparametric mediator fit ends every start on the iteration cap, on the
+# data as drawn and with the treatment recoded alike.
+FAILING_REPLICATE = ("skew_normal", 21019, False)
+
+
+def compared_methods(res, res_changed):
+    """OLS always; the semiparametric fit only where it succeeded on the original data.
+
+    There the changed data must fit too: the reasons of a failed fit are
+    reported by the assertion, never raised as an ``InferenceError``.
+    """
+    if res.methods["semiparametric"].failed:
+        return ("ols",)
+    changed = res_changed.methods["semiparametric"]
+    fits = (changed.mediator_fit, changed.outcome_fit)
+    assert not changed.failed, [fit.reasons for fit in fits if isinstance(fit, FitFailure)]
+    return ("ols", "semiparametric")
 
 
 class TestEquivariance:
     """Recoding the treatment or shifting a covariate moves the effects as the model says."""
 
     @settings(max_examples=8, deadline=None)
+    @example(replicate=FAILING_REPLICATE)
     @given(replicate=replicates)
     def test_treatment_recoding_permutes_and_negates(self, replicate):
         law, index, interaction = replicate
@@ -532,12 +550,13 @@ class TestEquivariance:
         order = [1, 0, 3, 2, 4] if interaction else [0, 1, 2]
         res = mediate(data, "T", "M", "Y", covariates=("X1",), interaction=interaction)
         res_recoded = mediate(recoded, "T", "M", "Y", covariates=("X1",), interaction=interaction)
-        for method in ("ols", "semiparametric"):
+        for method in compared_methods(res, res_recoded):
             e, r = res.effects(method), res_recoded.effects(method)
             assert_relative(r.values, -e.values[order])
             assert_relative(r.ci_length, e.ci_length[order])
 
     @settings(max_examples=8, deadline=None)
+    @example(replicate=FAILING_REPLICATE, shift=3.0)
     @given(replicate=replicates, shift=st.floats(-10.0, 10.0))
     def test_covariate_shift_leaves_effects(self, replicate, shift):
         law, index, interaction = replicate
@@ -545,7 +564,7 @@ class TestEquivariance:
         shifted = dataset_from_arrays(**{**data.columns, "X1": data.column("X1") + shift})
         res = mediate(data, "T", "M", "Y", covariates=("X1",), interaction=interaction)
         res_shifted = mediate(shifted, "T", "M", "Y", covariates=("X1",), interaction=interaction)
-        for method in ("ols", "semiparametric"):
+        for method in compared_methods(res, res_shifted):
             e, r = res.effects(method), res_shifted.effects(method)
             assert_relative(r.values, e.values)
             assert_relative(r.ci_length, e.ci_length)

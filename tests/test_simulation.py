@@ -105,6 +105,8 @@ class TestGenerateDataset:
             ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=10, reps=1, seed=0)
         with pytest.raises(ValueError, match="reps must be"):
             ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=50, reps=0, seed=0)
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer \(got -1\)$"):
+            ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=50, reps=1, seed=-1)
 
 
 @pytest.fixture(scope="module")
