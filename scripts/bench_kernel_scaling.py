@@ -3,8 +3,9 @@
 
 Each size runs ``mediate(method="both", interaction=True)`` on one simulated
 interaction data set (asymmetric-mixture errors, replicate 0 of ``--seed``)
-in a child process of its own, with BLAS pinned to one thread, so that the
-child's peak resident memory belongs to that size alone. The child reports
+in a child process of its own, with BLAS pinned to one thread and glibc's
+allocator thresholds fixed, so that the child's peak resident memory belongs
+to that size alone. The child reports
 the wall time of the call, its peak RSS, the number of kernel passes
 (``semiparam_psi`` calls) and the semiparametric effects, so that two source
 trees can be compared on the same data, and ``--block-bytes`` sets the kernel
@@ -66,8 +67,16 @@ print(json.dumps({
 """
 
 
+# glibc's allocator thresholds, as perfbench/run.py pins them (ALLOCATOR_PIN):
+# left adaptive, whether an n x n temporary comes from the heap or from freshly
+# faulted pages depends on the order of earlier frees, and back-to-back runs at
+# n = 10^4 ranged 1.72-2.40 s. Set only in the child's environment.
+ALLOCATOR_PIN = {"MALLOC_MMAP_THRESHOLD_": str(32 << 20), "MALLOC_TRIM_THRESHOLD_": str(64 << 20)}
+
+
 def run_size(src: Path, n: int, seed: int, block_bytes: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.update(ALLOCATOR_PIN)
     out = subprocess.run([sys.executable, "-c", CHILD, str(n), str(seed), str(block_bytes)], env=env, capture_output=True, text=True)
     if out.returncode != 0:
         raise SystemExit(f"n={n} failed with exit status {out.returncode}:\n{out.stderr}")
@@ -89,7 +98,7 @@ def main() -> None:
         print(f"n={n}: {rec['wall_s']:.2f} s, peak RSS {rec['peak_rss_mb']:.1f} MB, {rec['kernel_passes']} kernel passes")
         records.append(rec)
     if args.out:
-        meta = {"src": str(args.src), "seed": args.seed, "python": platform.python_version(), "runs": records}
+        meta = {"src": str(args.src), "seed": args.seed, "python": platform.python_version(), "allocator": ALLOCATOR_PIN, "runs": records}
         args.out.write_text(json.dumps(meta, indent=2) + "\n")
 
 

@@ -2,16 +2,15 @@
 """Reproduce the four-scenario Monte Carlo comparison (interaction model).
 
 Writes one metrics CSV per error law plus a combined table, and prints the
-scorecard. Replicates run on min(8, nproc) worker threads, the command line's
-rule. With the default settings (n=300, 1000 replications) this took 64 s of
-wall time on a 2-vCPU Intel Xeon VM (2 threads) with numpy 2.4.6, against
-87 s on 8 threads; lower --reps for quick looks.
+scorecard. Replicates run one after another on one thread. With the default
+settings (n=300, 1000 replications) this took 23 s of wall time on a shared
+2-vCPU Intel Xeon VM with numpy 2.4.6, and --reps 200 took 4.8-5.2 s; lower
+--reps for quick looks.
 """
 
 import argparse
 from pathlib import Path
 
-from semimediation.cli import _internal_workers
 from semimediation.simulation import (
     ERROR_LAWS,
     ErrorSpec,
@@ -36,7 +35,7 @@ def main() -> None:
     all_rows = []
     for law in ERROR_LAWS:
         cfg = ScenarioConfig(ErrorSpec(law), n=args.n, reps=args.reps, seed=args.seed)
-        rows, results = run_scenario(cfg, workers=_internal_workers())
+        rows, results = run_scenario(cfg)
         all_rows.extend(rows)
         write_metrics_csv(str(outdir / f"metrics_{law}.csv"), rows)
         if args.logs:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -159,11 +158,6 @@ def cmd_mediate(args: argparse.Namespace) -> int:
     return EXIT_NUMERICAL if semi is not None and semi.failed else EXIT_OK
 
 
-def _internal_workers() -> int:
-    # replicate results are bit-identical for any worker count
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         error=ErrorSpec(SCENARIO_NAMES[args.scenario]),
@@ -171,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         reps=args.reps,
         seed=args.seed,
     )
-    rows, results = run_scenario(config, workers=_internal_workers())
+    rows, results = run_scenario(config)
     write_metrics_csv(args.out, rows)
     if args.log:
         write_replicate_csv(args.log, results)
@@ -180,7 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_power(args: argparse.Namespace) -> int:
     config = power_config(reps=args.reps, seed=args.seed)
-    report = run_power_study(config, workers=_internal_workers())
+    report = run_power_study(config)
     payload = {
         **_report_header("power"),
         "seed": config.seed,

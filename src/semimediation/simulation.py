@@ -1,8 +1,9 @@
 """Monte Carlo harness: error laws, data generation, scorecards, power study.
 
-Replicates are embarrassingly parallel; every replicate draws from RNG streams
-keyed by (master seed, replicate index, purpose tag), so results are
-bit-identical regardless of worker count.
+Replicates run one after another, in index order, on the calling thread.
+Every replicate draws from RNG streams keyed by (master seed, replicate index,
+purpose tag), so a replicate's output depends only on (seed, replicate index),
+not on which other replicates ran or in what order.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -190,14 +190,9 @@ def _run_replicate(config: ScenarioConfig, index: int) -> list[ReplicateResult]:
     return out
 
 
-def run_replicates(config: ScenarioConfig, workers: int = 1) -> list[ReplicateResult]:
-    """All replicate results, ordered by (replicate, method) regardless of workers."""
-    if workers <= 1:
-        chunks = [_run_replicate(config, i) for i in range(config.reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda i: _run_replicate(config, i), range(config.reps)))
-    return [r for chunk in chunks for r in chunk]
+def run_replicates(config: ScenarioConfig) -> list[ReplicateResult]:
+    """All replicate results, ordered by (replicate, method)."""
+    return [r for i in range(config.reps) for r in _run_replicate(config, i)]
 
 
 def _successes(results: list[ReplicateResult], method: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,9 +235,9 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> tuple[list[Metrics
 
     Returns the metrics table and the per-replicate log. Pervasive failure
     (success rate below 0.5 for a method) is logged as a warning; nothing is
-    raised.
+    raised. ``workers`` is accepted and ignored: replicates run serially.
     """
-    results = run_replicates(config, workers)
+    results = run_replicates(config)
     truth = config.dgp.truth()
     rows = aggregate_metrics(config.error.law, results, truth, config.reps)
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):
@@ -286,8 +281,11 @@ def power_config(reps: int, seed: int) -> ScenarioConfig:
 
 
 def run_power_study(config: ScenarioConfig, workers: int = 1) -> PowerReport:
-    """Fraction of replicates whose ACME(0) 95% interval excludes zero, per method."""
-    results = run_replicates(config, workers)
+    """Fraction of replicates whose ACME(0) 95% interval excludes zero, per method.
+
+    ``workers`` is accepted and ignored: replicates run serially.
+    """
+    results = run_replicates(config)
     acme0 = INTERACTION_EFFECTS.index("ACME(0)")
     summaries: dict[str, PowerMethodSummary] = {}
     for m in (METHOD_OLS, METHOD_SEMIPARAMETRIC):

@@ -2,8 +2,8 @@
 
 Each test prints one line ``ACCEPTANCE <k>: PASS|FAIL|SKIP`` (run pytest with
 ``-s`` to see the lines as they happen). The Monte Carlo criteria share
-session-scoped 1000-replicate runs; the suite took 60–67 s of wall time
-(two runs) on a shared 2-vCPU Xeon VM with Python 3.11.7 and numpy 2.4.6.
+session-scoped 1000-replicate runs; the module took 32–39 s of wall time
+(three runs) on a shared 2-vCPU Xeon VM with Python 3.11.7 and numpy 2.4.6.
 
 Criterion 3 needs the public uis and jobs CSV files. They are not bundled;
 place them under ./data (or point SEMIMEDIATION_DATA at a directory) with

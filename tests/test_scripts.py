@@ -1,6 +1,8 @@
 """Smoke tests that run the scripts under scripts/ as a user would."""
 
 import csv
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -30,3 +32,72 @@ def test_run_simulations_writes_every_metrics_table(tmp_path):
     assert tuple(header) == METRICS_HEADER
     # Four laws x two methods x five effects.
     assert len(rows) == 40
+
+
+DIGEST_NAMES = sorted(
+    [f"{kind}_{s}.csv" for s in ("gaussian", "skewnormal", "asymmix", "symbimodal") for kind in ("metrics", "replicates")]
+    + ["report_no_interaction.json", "report_interaction.json", "report_scaled_failure.json", "power.json"]
+)
+
+
+def test_replicate_digests_keep_writes_what_it_hashes(tmp_path):
+    keep = tmp_path / "kept"
+    proc = run_script("replicate_digests.py", "--keep", str(keep))
+    assert proc.returncode == 0, proc.stderr
+    printed = dict(reversed(line.split("  ")) for line in proc.stdout.splitlines())
+    assert sorted(printed) == DIGEST_NAMES
+    for name, digest in printed.items():
+        assert hashlib.sha256((keep / name).read_bytes()).hexdigest() == digest
+    codes = json.loads((keep / "exit_codes.json").read_text())
+    assert codes == {name: 3 if name == "report_scaled_failure.json" else 0 for name in DIGEST_NAMES}
+    assert sorted(p.name for p in keep.iterdir()) == sorted(DIGEST_NAMES + ["exit_codes.json"])
+
+
+def write_kept_dir(path, estimate=0.25, success="1", reason="start 1: condition number", codes=None):
+    """A small hand-made --keep directory: one replicate CSV, one report, exit codes."""
+    path.mkdir()
+    rows = [
+        "replicate,method,effect,estimate,ci_lo,ci_hi,success",
+        f"0,ols,ACME(0),{estimate!r},0.125,0.5,1",
+        f"0,semiparametric,ACME(0),nan,nan,nan,{success}",
+    ]
+    (path / "replicates_x.csv").write_text("\n".join(rows) + "\n")
+    report = {"status": "numerical_failure", "start_index_used": None, "reasons": ["start 0: condition number", reason]}
+    (path / "report.json").write_text(json.dumps(report, sort_keys=True))
+    codes = codes or {"replicates_x.csv": 0, "report.json": 3}
+    (path / "exit_codes.json").write_text(json.dumps(codes))
+    return path
+
+
+def compare_dirs(a, b):
+    return run_script("replicate_digests.py", "--compare", str(a), str(b))
+
+
+def test_replicate_digests_compare_identical_directories(tmp_path):
+    proc = compare_dirs(write_kept_dir(tmp_path / "a"), write_kept_dir(tmp_path / "b"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["replicates_x.csv: no difference", "report.json: no difference"]
+
+
+def test_replicate_digests_compare_reports_relative_size(tmp_path):
+    a = write_kept_dir(tmp_path / "a")
+    b = write_kept_dir(tmp_path / "b", estimate=0.25 * (1 + 1e-9))
+    proc = compare_dirs(a, b)
+    assert proc.returncode == 1
+    assert "  max rel diff 1e-09 at row 1 (0,ols,ACME(0)).estimate" in proc.stdout.splitlines()
+    assert "report.json: no difference" in proc.stdout
+
+
+def test_replicate_digests_compare_names_flips_reasons_and_exit_codes(tmp_path):
+    a = write_kept_dir(tmp_path / "a")
+    b = write_kept_dir(tmp_path / "b", success="0", reason="start 1: maximum iterations reached", codes={"replicates_x.csv": 0, "report.json": 0})
+    (b / "extra.csv").write_text("x\n1\n")
+    proc = compare_dirs(a, b)
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert "  success flipped: row 2 (0,semiparametric,ACME(0)).success: '1' -> '0'" in lines
+    assert "  changed: reasons[1]: 'start 1: condition number' -> 'start 1: maximum iterations reached'" in lines
+    assert "  exit status: 3 -> 0" in lines
+    assert lines[lines.index("extra.csv: differs") + 1] == "  missing in A"
+    # NaN cells equal NaN cells: the flipped row reports no numeric difference.
+    assert not any(line.startswith("  max") for line in lines)

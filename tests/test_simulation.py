@@ -112,7 +112,7 @@ class TestGenerateDataset:
 @pytest.fixture(scope="module")
 def small_run():
     cfg = ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=120, reps=12, seed=21)
-    rows, results = run_scenario(cfg, workers=1)
+    rows, results = run_scenario(cfg)
     return cfg, rows, results
 
 
@@ -129,7 +129,7 @@ class TestRunScenario:
 
     def test_single_replicate_degenerate_metrics(self):
         cfg = ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=80, reps=1, seed=33)
-        rows, results = run_scenario(cfg, workers=1)
+        rows, results = run_scenario(cfg)
         truth = cfg.dgp.truth()
         for r in rows:
             assert r.coverage in (0.0, 1.0)
@@ -137,19 +137,9 @@ class TestRunScenario:
         bias_row = next(r for r in rows if r.method == "ols" and r.effect == "ACME(0)")
         assert bias_row.bias == pytest.approx(est[0] - truth[0], abs=1e-14)
 
-    def test_worker_counts_bit_identical(self, tmp_path, small_run):
-        cfg, rows1, _ = small_run
-        paths = []
-        for workers in (1, 4, 8):
-            rows, _ = run_scenario(cfg, workers=workers)
-            path = tmp_path / f"metrics_w{workers}.csv"
-            write_metrics_csv(str(path), rows)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
-
     def test_metrics_match_independent_aggregation(self, tmp_path):
         cfg = ScenarioConfig(ErrorSpec(sim.SYMMETRIC_BIMODAL), n=100, reps=50, seed=2)
-        rows, results = run_scenario(cfg, workers=4)
+        rows, results = run_scenario(cfg)
         log_path = tmp_path / "replicates.csv"
         write_replicate_csv(str(log_path), results)
 
@@ -261,15 +251,48 @@ class TestPowerStudy:
     def test_large_effect_rejected_by_both(self):
         dgp = DgpConstants(alpha2=0.2, beta2=1.0, beta3=0.5, gamma=-1.0, eta=0.8)
         cfg = dataclasses.replace(power_config(reps=60, seed=12), dgp=dgp)
-        report = run_power_study(cfg, workers=4)
+        report = run_power_study(cfg)
         assert report.truth_acme0 == -1.0
         for s in report.methods.values():
             assert s.rejection_rate >= 0.99
 
 
+def same_result(a, b):
+    """Two replicate results agree bit for bit, NaN equal to NaN."""
+    arrays = ("estimates", "ci_lower", "ci_upper")
+    return (a.replicate_index, a.method, a.success) == (b.replicate_index, b.method, b.success) and all(
+        np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True) for f in arrays
+    )
+
+
+class TestReplicateIndependence:
+    """A replicate's output depends only on (seed, replicate index)."""
+
+    CONFIG = ScenarioConfig(ErrorSpec(sim.ASYMMETRIC_MIXTURE), n=60, reps=7, seed=17)
+
+    @pytest.fixture(scope="class")
+    def seven(self):
+        return run_replicates(self.CONFIG)
+
+    def test_prefix_does_not_depend_on_reps(self, seven):
+        three = run_replicates(dataclasses.replace(self.CONFIG, reps=3))
+        assert len(three) == 6
+        assert all(same_result(a, b) for a, b in zip(three, seven[:6]))
+
+    def test_replicate_method_order(self, seven):
+        order = [(r.replicate_index, r.method) for r in seven]
+        assert order == [(i, m) for i in range(7) for m in ("ols", "semiparametric")]
+
+    @pytest.mark.parametrize("index", [0, 4, 6])
+    def test_single_replicate_matches_its_pair(self, seven, index):
+        alone = sim._run_replicate(self.CONFIG, index)
+        assert len(alone) == 2
+        assert all(same_result(a, b) for a, b in zip(alone, seven[2 * index : 2 * index + 2]))
+
+
 def test_replicate_log_columns(tmp_path):
     cfg = ScenarioConfig(ErrorSpec(sim.GAUSSIAN), n=80, reps=2, seed=1)
-    results = run_replicates(cfg, workers=1)
+    results = run_replicates(cfg)
     path = tmp_path / "log.csv"
     write_replicate_csv(str(path), results)
     with open(path, newline="") as fh:
