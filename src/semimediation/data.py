@@ -141,9 +141,9 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     drop count is logged and stored on the returned Dataset.
 
     The row-by-row ``csv.reader`` loop defines this behaviour. A file on which
-    one numpy parse provably gives the same result is read that way instead;
-    every other file goes through the loop. The file is read once, so a pipe
-    works as well as a regular file.
+    one numpy parse provably gives the same result, quoted cells and all, is
+    read that way instead; every other file goes through the loop. The file
+    is read once, so a pipe works as well as a regular file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -163,10 +163,10 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
         raise DataError(f"{path}: duplicated header names: {duplicated}")
     keep = [header.index(c) for c in names]
 
-    reason = "header record spans lines" if reader.line_num != 1 else _bulk_decline_reason(data, len(header))
+    reason = "header record spans lines" if reader.line_num != 1 else None
     if reason is None:
         try:
-            mat = _parse_bulk(data, keep)
+            mat = _parse_bulk(data, len(header), keep)
         except ValueError as exc:
             reason = str(exc)
     if reason is None:
@@ -190,56 +190,46 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     return Dataset(tuple(names), cols, mat.shape[0], n_dropped=dropped)
 
 
-def _bulk_decline_reason(data: bytes, width: int) -> str | None:
-    """Why one numpy parse might read these bytes differently from the row loop, or None.
+def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
+    """Parse the retained columns of every data row in one numpy call.
 
-    The header is the first line; the caller has checked that its record ends
-    there. numpy splits every later line at every comma, while ``csv.reader``
-    honours quotes, rejects over-long fields, ends a record at a lone carriage
-    return and, before Python 3.11, rejects NUL bytes. Without any of these,
-    the two split the file into the same cells, and numpy skips blank lines as
-    the loop does, but with ``usecols`` it never checks a row's cell count, so
-    that is checked here. The returned reason names the first problem found.
+    Raises ValueError, naming the first problem found, wherever the result
+    could differ from the row loop's. The header is the first line; the
+    caller has checked that its record ends there. Each unread column is
+    parsed into a zero-width text field, so numpy raises on a row whose cell
+    count differs from the header's. numpy unquotes cells as ``csv.reader``
+    does, or raises where the two differ. Its float conversion accepts a
+    subset of what ``float()`` accepts (no underscores, no non-ASCII digits)
+    and rounds identically, so a cell it parses has the loop's value and any
+    cell it rejects raises. ``csv.reader`` also rejects fields over its size
+    limit and, before Python 3.11, NUL bytes, and numpy warns on a body with
+    no data line; these are checked first.
     """
     if b"\0" in data:
-        return "NUL byte"
-    has_cr = b"\r" in data
-    if has_cr and data.count(b"\r") != data.count(b"\r\n"):
-        return "lone carriage return"
-    # numpy skips the header line, so only quotes after it count.
-    body = data.find(b"\n") + 1
-    if body and data.find(b'"', body) != -1:
-        return "quote character"
-    buf = np.frombuffer(data, dtype=np.uint8)
+        raise ValueError("NUL byte")
+    # Line ends after the last other byte belong to the last line: a quote left open there takes them in.
+    buf = np.frombuffer(data, dtype=np.uint8)[: len(data.rstrip(b"\r\n"))]
     ends = np.flatnonzero(buf == ord("\n"))
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))
-    lengths = ends - np.concatenate(([0], ends[:-1] + 1))
-    if has_cr:
-        # Every CR precedes an LF, so only a line's last byte can be one.
-        lengths -= buf[ends - 1] == ord("\r")
+    if b"\r" in data:
+        ends = np.sort(np.concatenate([ends, np.flatnonzero(buf == ord("\r"))]))
+    if not ends.size:
+        raise ValueError("no data rows")
+    # The bytes between consecutive line-end bytes; the first run is the header.
+    lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
     if lengths.max() > csv.field_size_limit():
-        return "line longer than the csv field size limit"
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-    # Blank lines are skipped by both parsers.
-    filled = lengths[1:] > 0
-    ragged = np.flatnonzero(filled & (commas[1:] != width - 1))
-    if ragged.size:
-        return f"ragged row at line {ragged[0] + 2}"
-    if not filled.any():
-        return "no data rows"
-    return None
-
-
-def _parse_bulk(data: bytes, keep: list[int]) -> np.ndarray:
-    """Parse the retained columns of every non-blank data row in one numpy call.
-
-    numpy's float conversion accepts a subset of what ``float()`` accepts (no
-    underscores, no non-ASCII digits) and rounds identically, so a cell it
-    parses has the loop's value and any cell it rejects raises ValueError.
-    """
+        raise ValueError("line longer than the csv field size limit")
+    read = sorted(set(keep))
+    # Fields are named by position: an unread header name may repeat.
+    dtype = [(f"f{i}", float if i in read else "U0") for i in range(width)]
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    return np.loadtxt(text, dtype=float, delimiter=",", comments=None, skiprows=1, usecols=keep, ndmin=2)
+    rec = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, skiprows=1, quotechar='"', ndmin=1)
+    # numpy skips empty lines. Only where each non-empty line holds one record is every field within a line.
+    lines = np.count_nonzero(lengths[1:])
+    if len(rec) != lines:
+        raise ValueError(f"{lines} non-empty line(s) hold {len(rec)} record(s)")
+    # The unread fields take no bytes, so each record is its floats in file order.
+    mat = rec.view(float).reshape(len(rec), len(read))
+    return mat if read == keep else mat[:, [read.index(i) for i in keep]]
 
 
 def _parse_rows(path: str, records: Iterable[tuple[int, list[str]]], width: int, keep: list[int]) -> tuple[np.ndarray, int]:

@@ -1,6 +1,11 @@
+import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,3 +487,61 @@ class TestForestSvg:
         assert code == 0
         assert plot.exists()
         ET.fromstring(plot.read_text())  # well-formed XML
+
+
+def dynamic_arch_openblas():
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# On a host whose default OpenBLAS core is SkylakeX, the largest
+# |a - b| / max(1, |a|, |b|) against Haswell or Sandybridge, over every CSV
+# value of `simulate --n 300 --reps 25` for the four laws and seeds 11-60, was
+# 8.7e-9 (seed 44, symmetric bimodal, replicate 1's semiparametric ACME(1)
+# lower bound, Sandybridge); at seed 11 it was 9e-15. No success value flipped.
+BLAS_KERNEL_TOL = 1e-7
+SIMULATE_FOUR_LAWS = """
+import sys
+from semimediation import cli
+for scenario in sorted(cli.SCENARIO_NAMES):
+    argv = ["simulate", "--scenario", scenario, "--n", "300", "--reps", "25", "--seed", "11"]
+    out = f"{sys.argv[1]}/{scenario}"
+    assert cli.main(argv + ["--out", f"{out}_metrics.csv", "--log", f"{out}_replicates.csv"]) == 0
+"""
+
+
+@pytest.mark.skipif(not dynamic_arch_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_simulations_do_not_depend_on_the_blas_kernel(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for core in (None, "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        # One thread in both runs, so that only the kernel differs between them.
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", SIMULATE_FOUR_LAWS, str(out)], env=env, check=True, timeout=120)
+        outputs.append(out)
+    names = sorted(p.name for p in outputs[0].iterdir())
+    assert len(names) == 8 and names == sorted(p.name for p in outputs[1].iterdir())
+    for name in names:
+        tables = []
+        for out in outputs:
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                tables.append(list(csv.reader(fh)))
+        (header, *rows), (other_header, *other_rows) = tables
+        assert header == other_header and len(rows) == len(other_rows)
+        for row, other in zip(rows, other_rows):
+            for column, a, b in zip(header, row, other):
+                if column in ("scenario", "method", "effect", "success"):
+                    assert a == b, (name, row[:3], column)
+                elif a != b:
+                    x, y = float(a), float(b)
+                    assert abs(x - y) <= BLAS_KERNEL_TOL * max(1.0, abs(x), abs(y)), (name, row[:3], column, a, b)
