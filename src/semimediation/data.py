@@ -208,7 +208,7 @@ def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
     if b"\0" in data:
         raise ValueError("NUL byte")
     # Line ends after the last other byte belong to the last line: a quote left open there takes them in.
-    buf = np.frombuffer(data, dtype=np.uint8)[: len(data.rstrip(b"\r\n"))]
+    buf = np.frombuffer(data, dtype=np.uint8)[: _content_end(data)]
     ends = np.flatnonzero(buf == ord("\n"))
     if b"\r" in data:
         ends = np.sort(np.concatenate([ends, np.flatnonzero(buf == ord("\r"))]))
@@ -230,6 +230,22 @@ def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
     # The unread fields take no bytes, so each record is its floats in file order.
     mat = rec.view(float).reshape(len(rec), len(read))
     return mat if read == keep else mat[:, [read.index(i) for i in keep]]
+
+
+def _content_end(data: bytes) -> int:
+    """The length of ``data`` without its trailing CR and LF bytes.
+
+    Only the tail is copied, a few kilobytes at a time, not the whole file as
+    ``data.rstrip`` would.
+    """
+    end = len(data)
+    while end:
+        start = max(0, end - 4096)
+        kept = len(data[start:end].rstrip(b"\r\n"))
+        if kept:
+            return start + kept
+        end = start
+    return 0
 
 
 def _parse_rows(path: str, records: Iterable[tuple[int, list[str]]], width: int, keep: list[int]) -> tuple[np.ndarray, int]:
@@ -260,30 +276,27 @@ def _parse_rows(path: str, records: Iterable[tuple[int, list[str]]], width: int,
 def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:
     """Assemble [intercept, treatment, mediator?, interaction?, covariates...].
 
-    The interaction column is the exact elementwise product of the treatment
-    and mediator columns. Only the specification is validated here; whether
+    Each column is written once, straight into one n x p array. The
+    interaction column is the exact elementwise product of the treatment and
+    mediator columns. Only the specification is validated here; whether
     the columns can be fitted is decided by the fit (``fit_ols``).
     """
     spec.validate(dataset)
-    cols: list[np.ndarray] = [np.ones(dataset.n)]
-    roles: list[str] = [ROLE_INTERCEPT]
+    roles = [ROLE_INTERCEPT, ROLE_TREATMENT]
+    if spec.mediator is not None:
+        roles += [ROLE_MEDIATOR, ROLE_INTERACTION] if spec.interaction else [ROLE_MEDIATOR]
+    roles += [ROLE_COVARIATE] * len(spec.covariates)
 
+    values = np.empty((dataset.n, len(roles)))
+    values[:, 0] = 1.0
     t = dataset.column(spec.treatment)
-    cols.append(t)
-    roles.append(ROLE_TREATMENT)
-
+    values[:, 1] = t
     if spec.mediator is not None:
         m = dataset.column(spec.mediator)
-        cols.append(m)
-        roles.append(ROLE_MEDIATOR)
+        values[:, 2] = m
         if spec.interaction:
-            cols.append(t * m)
-            roles.append(ROLE_INTERACTION)
-
-    for name in spec.covariates:
-        cols.append(dataset.column(name))
-        roles.append(ROLE_COVARIATE)
-
-    values = np.column_stack(cols)
-    return DesignMatrix(values, tuple(roles), values.shape[1])
+            np.multiply(t, m, out=values[:, 3])
+    for j, name in enumerate(spec.covariates, start=len(roles) - len(spec.covariates)):
+        values[:, j] = dataset.column(name)
+    return DesignMatrix(values, tuple(roles), len(roles))
 

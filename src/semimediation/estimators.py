@@ -181,7 +181,7 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     if not (rcond > RCOND_MIN):
         raise EstimationError(f"design matrix is rank-deficient or ill-conditioned (rcond={rcond:.3g})")
     psi = np.empty((n, p + 1))
-    psi[:, :p] = X * e[:, None]
+    np.multiply(X, e[:, None], out=psi[:, :p])
     psi[:, p] = e * e - sigma2
     diag = FitDiagnostics(
         start_index_used=None,

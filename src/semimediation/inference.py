@@ -3,6 +3,9 @@
 :func:`stack_fits` stacks any fits on the same rows into one
 estimating-equation system; its sandwich covariance, the only one formed,
 comes from the fits' rows and ``A`` and is checked for finiteness there.
+``B`` is a sum over rows, so it is formed block by block from each pair of
+fits' rows, and the fits' rows are never copied side by side into one
+n-row array (Stefanski & Boos 2002, Am. Stat. 56:29).
 :func:`map_intervals` is the one route from a stack to a reported number: it
 pushes the covariance through a map of some stacked parameters by the delta
 method and returns the values, their covariance, Wald bounds and p-values.
@@ -118,7 +121,11 @@ def stack_fits(*fits: RegressionFit) -> StackedFit:
     parameter Jacobian of the stacked psi. The fits share no parameters, so A
     is block diagonal with each fit's own ``jacobian_A`` as its block and
     exact zeros elsewhere; nothing is re-evaluated here. B is the averaged
-    outer product of the stacked rows, whose off-diagonal blocks capture the
+    outer product of the stacked rows, formed per pair of fits: for fits
+    i <= j its (i, j) block is ``psi_i' psi_j / n``, computed once from the
+    two fits' own rows. A block off the diagonal is mirrored into (j, i) and
+    one on it is a symmetric product, so B is exactly symmetric, and no
+    stacked n-row array is built. The off-diagonal blocks capture the
     dependence induced by the shared sample. cov = A^-1 B A^-T / n is the one
     sandwich covariance of the pipeline; the fits carry none. Nothing here
     reads a design or a role, so any fits stack: a mediator and an outcome
@@ -136,17 +143,19 @@ def stack_fits(*fits: RegressionFit) -> StackedFit:
         raise InferenceError(f"stack_fits needs one or more fits on the same rows, not sample sizes {sizes}")
     n = sizes[0]
     theta = np.concatenate([fit.theta for fit in fits])
-    psi = np.hstack([fit.psi_values for fit in fits])
+    bounds = np.cumsum([0] + [fit.theta.size for fit in fits])
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     A = np.zeros((theta.size, theta.size))
-    start = 0
-    for fit in fits:
-        stop = start + fit.theta.size
-        A[start:stop, start:stop] = fit.jacobian_A
-        start = stop
+    B = np.empty((theta.size, theta.size))
     # Rows that overflow B are reported once, by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        B = psi.T @ psi / n
+        for i, (fit, rows) in enumerate(zip(fits, blocks)):
+            A[rows, rows] = fit.jacobian_A
+            for j in range(i, len(fits)):
+                B[rows, blocks[j]] = fit.psi_values.T @ fits[j].psi_values / n
+                if j > i:
+                    B[blocks[j], rows] = B[rows, blocks[j]].T
     cov = sandwich_covariance(A, B, n)
     if not np.all(np.isfinite(cov)):
         raise InferenceError("stacked sandwich covariance is not finite")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semimediation import data
 from semimediation.data import (
     DataError,
     ModelSpec,
@@ -287,6 +288,28 @@ class TestLoadCsv:
         assert (ds.n + ds.n_dropped, ds.n_dropped) == (3001, 1 - len(head))
         assert np.array_equal(ds.column("Y"), head + [2.5] * 3000)
 
+    @pytest.mark.parametrize(
+        "ending",
+        ["\n\n\n", "\r\n\r\n", "\r", "", "\n" * 5000],
+        ids=["line-feeds", "crlf-pairs", "lone-cr", "no-line-end", "line-feeds-past-4096-bytes"],
+    )
+    def test_trailing_line_ends_match_the_row_loop(self, tmp_path, caplog, monkeypatch, ending):
+        # The bulk parse finds where the last line ends without copying the file.
+        caplog.set_level(logging.DEBUG, logger="semimediation.data")
+        path = write(tmp_path, 'a,b\n1,2.5\n3,"4"\n5,nan' + ending)
+        bulk = load_csv(path)
+        (message,) = (r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG)
+        assert ": bulk route kept 2 row(s), dropped 1" in message
+
+        def decline(*args):
+            raise ValueError("declined")
+
+        monkeypatch.setattr(data, "_parse_bulk", decline)
+        rows = load_csv(path)
+        assert (bulk.n, bulk.n_dropped) == (rows.n, rows.n_dropped) == (2, 1)
+        for name in ("a", "b"):
+            assert bulk.column(name).tobytes() == rows.column(name).tobytes()
+
     def test_quoted_line_end_in_unread_column(self, tmp_path):
         # Each physical line has the header's comma count, but the record spans two.
         ds = load_csv(write(tmp_path, 'a,b\n1,"x\n2,0"\n3,4\n'), columns=["a"])
@@ -419,6 +442,25 @@ class TestBuildDesign:
         assert design.p == 4
         assert design.column_roles == ("intercept", "treatment", "mediator", "interaction")
         assert np.array_equal(design.values[:, 3], treat * frac)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(response="M", treatment="T", covariates=("X1",)),
+            ModelSpec(response="Y", treatment="T", mediator="M"),
+            ModelSpec(response="Y", treatment="T", mediator="M", covariates=("X1",), interaction=True),
+        ],
+        ids=["mediator-model", "outcome-model", "interaction-and-covariate"],
+    )
+    def test_values_are_the_stacked_columns_bit_for_bit(self, laplace_mediation_data, spec):
+        ds = laplace_mediation_data
+        t, m = ds.column("T"), ds.column("M")
+        cols = [np.ones(ds.n), t] + ([m] if spec.mediator else []) + ([t * m] if spec.interaction else [])
+        expected = np.column_stack(cols + [ds.column(c) for c in spec.covariates])
+        values = build_design(ds, spec).values
+        assert values.flags.c_contiguous
+        assert values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
 
     def test_non_binary_treatment_rejected(self):
         ds = dataset_from_arrays(T=np.array([0.0, 2.0]), Y=np.array([1.0, 2.0]))

@@ -20,6 +20,7 @@ from semimediation.estimators import (
     screen_root,
     semiparam_psi,
 )
+from semimediation.inference import mediate, stack_fits
 from semimediation.simulation import ASYMMETRIC_MIXTURE, ERROR_LAWS, ErrorSpec, sample_error
 
 
@@ -924,3 +925,33 @@ class TestKernelBlocks:
             tracemalloc.stop()
         assert peak <= estimators.KERNEL_BLOCK_BYTES + 16 * 8 * n * (p + 1)
 
+
+
+def test_least_squares_path_holds_each_row_array_once():
+    # stack_fits forms B from each pair of fits' own rows, so it allocates
+    # nothing of length n. mediate's peak exceeds what it returns (two designs
+    # and two fits' rows) by less than one block of outcome rows: neither a
+    # stacked copy of both fits' rows nor a temporary beside each fit's rows.
+    rng = np.random.default_rng(24)
+    n = 20_000
+    t = (rng.random(n) < 0.5).astype(float)
+    x = rng.standard_normal((3, n))
+    m = 0.3 + 0.5 * t + 0.2 * x.sum(axis=0) + rng.standard_normal(n)
+    y = 0.1 + 0.4 * t - 0.6 * m + 0.8 * t * m + 0.3 * x[0] + rng.standard_normal(n)
+    data = dataset_from_arrays(T=t, M=m, Y=y, X1=x[0], X2=x[1], X3=x[2])
+    covariates = ("X1", "X2", "X3")
+    med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T", covariates=covariates)), m)
+    out_spec = ModelSpec(response="Y", treatment="T", mediator="M", covariates=covariates, interaction=True)
+    out = fit_ols(build_design(data, out_spec), y)
+    tracemalloc.start()
+    try:
+        stack_fits(med, out)
+        stack_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = mediate(data, "T", "M", "Y", covariates, interaction=True, method="ols")
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not result.methods["ols"].failed
+    assert stack_peak < 8 * n
+    assert peak <= live + 8 * n * (out.design.p + 1)

@@ -245,6 +245,34 @@ class TestSandwichAndStacking:
             rows = np.r_[blocks[i], blocks[j]]
             np.testing.assert_allclose(four.cov[np.ix_(rows, rows)], pair.cov, rtol=1e-12, atol=0.0)
 
+    def test_blocked_B_matches_the_stacked_rows(self, laplace_mediation_data):
+        # B is formed per pair of fits, never from the stacked rows: it agrees
+        # with their averaged outer product up to rounding, is exactly
+        # symmetric, and each pair's block in a larger stack is that pair's B.
+        data = laplace_mediation_data
+        fits = []
+        for spec in (
+            ModelSpec(response="M", treatment="T", covariates=("X1",)),
+            ModelSpec(response="Y", treatment="T", mediator="M", covariates=("X1",), interaction=True),
+        ):
+            ols = fit_ols(build_design(data, spec), data.column(spec.response))
+            fits += [ols, fit_semiparametric(ols)]
+        med_ols, med_semi, out_ols, out_semi = fits
+        four = (med_ols, out_ols, med_semi, out_semi)
+        for stack in ((med_ols,), (out_semi,), (med_ols, out_ols), (med_semi, out_ols), four):
+            B = stack_fits(*stack).B
+            rows = np.hstack([fit.psi_values for fit in stack])
+            oracle = rows.T @ rows / data.n
+            assert np.max(np.abs(B - oracle) / np.abs(oracle)) <= 1e-13
+            assert np.array_equal(B, B.T)
+        B4 = stack_fits(*four).B
+        bounds = np.cumsum([0] + [fit.theta.size for fit in four])
+        blocks = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                rows = np.r_[blocks[i], blocks[j]]
+                assert np.array_equal(B4[np.ix_(rows, rows)], stack_fits(four[i], four[j]).B)
+
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
         # Each fit makes one kernel-score pass per Newton evaluation and none
         # after it: the rows and A at the root come with Newton's result.
