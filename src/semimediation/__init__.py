@@ -14,6 +14,7 @@ from .estimators import (
     RegressionFit,
     fit_ols,
     fit_semiparametric,
+    frozen_score_jacobian,
     make_starts,
     newton_root,
     screen_root,
@@ -58,6 +59,7 @@ __all__ = [
     "RegressionFit",
     "fit_ols",
     "fit_semiparametric",
+    "frozen_score_jacobian",
     "make_starts",
     "newton_root",
     "screen_root",

@@ -26,6 +26,10 @@ ROLE_MEDIATOR = "mediator"
 ROLE_INTERACTION = "interaction"
 ROLE_COVARIATE = "covariate"
 
+# Bytes per step of the CSV line-end scan: its boolean masks take this much
+# memory instead of one byte per byte of the file.
+LINE_END_CHUNK = 1 << 18
+
 
 class DataError(ValueError):
     """Unusable input data or an invalid model specification."""
@@ -127,6 +131,13 @@ class DesignMatrix:
         centered.flags.writeable = False
         return centered
 
+    @cached_property
+    def transposed(self) -> np.ndarray:
+        """The values transposed into a C-contiguous p x n array, computed on first use and kept read-only."""
+        values_t = self.values.T.copy()
+        values_t.flags.writeable = False
+        return values_t
+
 
 def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
@@ -208,10 +219,7 @@ def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
     if b"\0" in data:
         raise ValueError("NUL byte")
     # Line ends after the last other byte belong to the last line: a quote left open there takes them in.
-    buf = np.frombuffer(data, dtype=np.uint8)[: _content_end(data)]
-    ends = np.flatnonzero(buf == ord("\n"))
-    if b"\r" in data:
-        ends = np.sort(np.concatenate([ends, np.flatnonzero(buf == ord("\r"))]))
+    ends = _line_ends(np.frombuffer(data, dtype=np.uint8)[: _content_end(data)], b"\r" in data)
     if not ends.size:
         raise ValueError("no data rows")
     # The bytes between consecutive line-end bytes; the first run is the header.
@@ -230,6 +238,24 @@ def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
     # The unread fields take no bytes, so each record is its floats in file order.
     mat = rec.view(float).reshape(len(rec), len(read))
     return mat if read == keep else mat[:, [read.index(i) for i in keep]]
+
+
+def _line_ends(buf: np.ndarray, with_cr: bool) -> np.ndarray:
+    """The positions of the LF bytes of ``buf``, and of its CR bytes too if ``with_cr``, in increasing order.
+
+    The bytes are compared ``LINE_END_CHUNK`` at a time, so the scan's
+    boolean masks take that much memory rather than one byte per byte of
+    the file.
+    """
+    parts = []
+    for lo in range(0, max(buf.size, 1), LINE_END_CHUNK):
+        chunk = buf[lo : lo + LINE_END_CHUNK]
+        ends = np.flatnonzero(chunk == ord("\n"))
+        if with_cr:
+            ends = np.sort(np.concatenate([ends, np.flatnonzero(chunk == ord("\r"))]))
+        ends += lo
+        parts.append(ends)
+    return np.concatenate(parts)
 
 
 def _content_end(data: bytes) -> int:

@@ -20,8 +20,10 @@ more: the sandwich covariance is formed once, over the stacked rows of both
 models, by ``inference.stack_fits``. Every Jacobian is exact and
 closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and
 one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
-Newton's Jacobian (score re-estimated) and ``A`` (score frozen) as moment
-sums. The pass runs over row blocks of the kernel matrix in one reused
+Newton's Jacobian (score re-estimated) and the frozen score's derivative as
+moment sums; ``A`` (score frozen) is formed from that derivative once per
+converged root (``frozen_score_jacobian``), not on every evaluation. The
+pass runs over row blocks of the kernel matrix in one reused
 buffer, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
 O(n p), never O(n^2). Each block takes three sweeps: the exponent as one
 rank-3 product of the mean-centred residuals, ``exp``, and one product with
@@ -32,16 +34,17 @@ floor and the fix-ups for clipped scores run only when such points exist,
 and what depends on the design alone (its centred regressors and column
 means) is computed once per design.
 ``fit_semiparametric`` reads its design and response from the least-squares
-fit that seeds its starts, and Newton hands back the rows and ``A`` of its
-evaluation at the root together with the root, so no kernel pass follows
-the solve.
+fit that seeds its starts and builds the fallback starts only once the
+least-squares start fails. Newton hands back the rows and the frozen
+derivative of its evaluation at the root together with the root, so no
+kernel pass follows the solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -199,10 +202,16 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
     buffer; the buffer and the product's operands are freed on return, so only
     the n x (3p + 1) result outlives the call.
 
-    The product keeps its 3p + 1 columns. Padding them with zero columns to a
-    multiple of four runs OpenBLAS 0.3.31's full-width kernels (about 30 %
-    faster at n = 300, p = 4), but for p = 3, 6 or 8 at some n it changes the
-    last bits of the real columns, and so the fitted numbers.
+    The product keeps its 3p + 1 columns and its n x (3p + 1) layout. Two
+    other layouts were timed in whole gate rounds, alternating with this one
+    (mc_gate_n300, 2-vCPU VM, OpenBLAS 0.3.31), and neither pays for moving
+    the fitted numbers. Zero columns padding the operand to a multiple of
+    four change the last bits of the real columns for p = 3, 6 or 8 at some
+    n, and were within the run-to-run spread: -2.8 to +1.8 % per pair over
+    5 pairs, -1.0 % in the median. The transposed product P^T K^T written
+    into a (3p + 1) x n array, which also saves ``_kernel_score`` its
+    transpose copy, was 3.0 to 10.7 % slower in all of 6 pairs. In isolated
+    timeit of this function at n = 300, p = 4 both were 3-7 % slower.
     """
     p, n = Xt.shape
     # The exponent's factors: rows [a_i, -a_i^2 / 2, 1] times columns [a_k, 1, -a_k^2 / 2].
@@ -211,14 +220,16 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
     np.multiply(-0.5 * a, a, out=lhs[:, 1])
     lhs[:, 2] = 1.0
     rhs = lhs.T[[0, 2, 1]]
-    powers = np.empty((n, 3 * p + 1))
-    # Filled through its transpose, whose rows are x_j, a x_j and a^2 x_j for
-    # each column j of X, then a^3, so that each multiplication runs along n.
-    P = powers.T
+    # The operand's transpose, whose rows are x_j, a x_j and a^2 x_j for each
+    # column j of X, then a^3, is filled first, so that each multiplication
+    # runs along n in contiguous memory; one copy lays it out n x (3p + 1).
+    P = np.empty((3 * p + 1, n))
     P[:p] = Xt
     np.multiply(a, Xt, out=P[p : 2 * p])
     np.multiply(a, P[p : 2 * p], out=P[2 * p : 3 * p])
     np.multiply(a * a, a, out=P[3 * p])
+    powers = P.T.copy()
+    del P
     B = np.empty_like(powers)
     K_buf = np.empty((rows, n))
     for lo in range(0, n, rows):
@@ -233,8 +244,9 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
 
 def _kernel_score(
     e: np.ndarray,
+    dev: np.ndarray,
     h: float,
-    X: np.ndarray,
+    Xt: np.ndarray,
     dh: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leave-one-out kernel score of the residuals at themselves, and its two beta-derivatives.
@@ -258,8 +270,11 @@ def _kernel_score(
       alone. Clipped points hold 0.
 
     Clamped points take the derivative of the point whose score they copy.
-    ``X[:, 0]`` must be the intercept column, so that the moments over X's
-    columns hold the S_j in their first column.
+    ``dev`` is e minus its mean and ``Xt`` is X transposed, p x n, as the
+    caller already holds them. ``X[:, 0]`` must be the intercept column, so
+    that the moments over X's columns hold the S_j in their first column.
+    Both derivatives are n x p; ``ds_frozen`` is returned as a transposed
+    view, since only the sandwich at an accepted root reads it.
 
     The n^2 work (``_kernel_product``) is three sweeps per block of rows, in
     one reused rows x n buffer. With a = (e - ebar) / h, the exponent
@@ -282,10 +297,9 @@ def _kernel_score(
     dense, each reads its own values with no gather, and when none is clipped
     the clip fix-ups are skipped.
     """
-    n, p = X.shape
-    a = (e - e.mean()) / h
+    p, n = Xt.shape
+    a = dev / h
     rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
-    Xt = X.T.copy()
     B = _kernel_product(a, Xt, rows).T.copy()
     B0, B1, B2, B3 = B[:p], B[p : 2 * p], B[2 * p : 3 * p], B[3 * p]
     M1 = a * B0
@@ -300,13 +314,13 @@ def _kernel_score(
     if not floor > 0.0:
         raise EstimationError("degenerate density estimate")
     ok = S0 >= floor
-    raw = np.zeros_like(e)
+    raw = np.zeros(n)
     np.divide(-S1 / h, S0, out=raw, where=ok)
 
     # score = -q / h with q = S1 / S0. With C = M0 - M2 + q M1 the derivatives
     # collapse to h (dS1 - q dS0) = -x C_0 + C - (S1 - S3 + q S2) dh, and
     # the frozen score keeps only the -x C_0 term.
-    inv = np.zeros_like(S0)
+    inv = np.zeros(n)
     np.divide(1.0, S0, out=inv, where=ok)
     q = S1 * inv
     w = inv / (h * h)
@@ -325,12 +339,12 @@ def _kernel_score(
             src[blk] = good[np.abs(e[blk, None] - e[good]).argmin(axis=1)]
         raw, ds_newton, ds_frozen = raw[src], ds_newton[:, src], ds_frozen[:, src]
     clip = SCORE_CLIP_OVER_H / h
-    score = np.clip(raw, -clip, clip)
+    score = np.minimum(np.maximum(raw, -clip), clip)
     clipped = np.abs(raw) > clip
     if clipped.any():
         ds_newton[:, clipped] = -np.outer(dh, score[clipped]) / h
         ds_frozen[:, clipped] = 0.0
-    return score, ds_newton.T.copy(), ds_frozen.T.copy()
+    return score, ds_newton.T.copy(), ds_frozen.T
 
 
 def silverman_bandwidth(centered: np.ndarray) -> float:
@@ -353,8 +367,9 @@ def semiparam_psi(
     theta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive-score estimating-function rows at one parameter vector
-    theta = (beta, sigma2), with the Jacobians of their mean for Newton (J)
-    and for the sandwich (A).
+    theta = (beta, sigma2), with the Jacobian of their mean for Newton (J)
+    and the frozen score's derivative from which ``frozen_score_jacobian``
+    forms the sandwich's (A).
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
@@ -366,13 +381,11 @@ def semiparam_psi(
 
     ``J`` differentiates the re-estimated score, bandwidth included
     (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)); Newton solves with it.
-    ``A`` holds the score function (data points, bandwidth, centering
-    constant) frozen at this point, so only the evaluation points move.
-    Differentiating the frozen score, not the re-estimated one, is what makes
-    the sandwich A^-1 B A^-T consistent for the estimator's variance at a
-    root: the adaptive score estimate is first-order ignorable, while
-    re-estimation inside A cancels part of the derivative and inflates the
-    variance roughly twofold. Rows, J and A all come from one kernel pass.
+    ``ds_frozen``, n x p, is d score / d beta with the score function (data
+    points, bandwidth, centering constant) frozen at this point, so only the
+    evaluation points move. Rows, J and ``ds_frozen`` all come from one
+    kernel pass; ``A`` is read only at an accepted root, so it is formed
+    there, once.
     """
     beta, sigma2 = theta[:-1], theta[-1]
     if sigma2 <= 0.0:
@@ -380,14 +393,16 @@ def semiparam_psi(
     X = design.values
     y = np.asarray(response, dtype=float)
     e = y - X @ beta
-    if e.size < 10:
-        raise EstimationError(f"need at least 10 residuals for score estimation (got {e.size})")
+    n, p = X.shape
+    if n < 10:
+        raise EstimationError(f"need at least 10 residuals for score estimation (got {n})")
     if not np.isfinite(e).all():
         raise EstimationError("residuals contain non-finite values")
-    dev = e - e.mean()
+    # np.add.reduce(x) / n is what x.mean() computes, without its dispatch.
+    dev = e - np.add.reduce(e) / n
     h = silverman_bandwidth(dev)
     dh = -h * (dev @ X) / (dev @ dev)
-    s, ds_newton, ds_frozen = _kernel_score(e, h, X, dh)
+    s, ds_newton, ds_frozen = _kernel_score(e, dev, h, design.transposed, dh)
 
     # Slope rows pair the centered score with the centered regressor. The
     # centering changes nothing about the solved equations (both centerings
@@ -397,20 +412,33 @@ def semiparam_psi(
     # carry no intercept coupling and their outer products must scale with the
     # centered regressor moments, or the covariance is inconsistent. For the
     # same reason the score's centering constant drops out of both Jacobians.
-    n, p = X.shape
     psi = np.empty((n, p + 1))
     psi[:, 0] = e
     x_centered = design.centered_regressors
-    np.multiply(x_centered, (s - s.mean())[:, None], out=psi[:, 1:p])
+    np.multiply(x_centered, (s - np.add.reduce(s) / n)[:, None], out=psi[:, 1:p])
     psi[:, p] = e * e - sigma2
     J = np.zeros((p + 1, p + 1))
     J[0, :p] = -design.column_means
     J[p, :p] = -2.0 * (e @ X) / n
     J[p, p] = -1.0
-    A = J.copy()
     J[1:p, :p] = x_centered.T @ ds_newton / n
-    A[1:p, :p] = x_centered.T @ ds_frozen / n
-    return psi, J, A
+    return psi, J, ds_frozen
+
+
+def frozen_score_jacobian(design: DesignMatrix, J: np.ndarray, ds_frozen: np.ndarray) -> np.ndarray:
+    """The sandwich's A from one ``semiparam_psi`` evaluation's J and ``ds_frozen``.
+
+    A is J with its slope rows differentiated through the frozen score, so
+    only the evaluation points move. Differentiating the frozen score, not the
+    re-estimated one, is what makes the sandwich A^-1 B A^-T consistent for
+    the estimator's variance at a root: the adaptive score estimate is
+    first-order ignorable, while re-estimation inside A cancels part of the
+    derivative and inflates the variance roughly twofold.
+    """
+    n, p = design.values.shape
+    A = J.copy()
+    A[1:p, :p] = design.centered_regressors.T @ np.ascontiguousarray(ds_frozen) / n
+    return A
 
 
 def newton_root(
@@ -430,9 +458,10 @@ def newton_root(
     """
     x = np.asarray(x0, dtype=float).copy()
     fx, J, extra = F(x)
-    if not np.isfinite(fx).all():
-        return NewtonResult(x, extra, 0, float("inf"), "non-finite function value at start")
+    # The sup-norm is NaN or inf exactly when some value is.
     norm = float(np.abs(fx).max())
+    if not math.isfinite(norm):
+        return NewtonResult(x, extra, 0, float("inf"), "non-finite function value at start")
     if norm < NEWTON_RESIDUAL_TOL:
         return NewtonResult(x, extra, 0, norm)
 
@@ -452,18 +481,19 @@ def newton_root(
         t = 1.0
         x_new = x + dx
         f_new, J_new, extra_new = F(x_new)
+        new_norm = float(np.abs(f_new).max())
         for _ in range(MAX_STEP_HALVINGS):
-            if np.isfinite(f_new).all() and float(np.abs(f_new).max()) < norm:
+            if new_norm < norm:  # a NaN or inf norm fails this too
                 break
             t /= 2.0
             x_new = x + t * dx
             f_new, J_new, extra_new = F(x_new)
-        if not np.isfinite(f_new).all():
+            new_norm = float(np.abs(f_new).max())
+        if not math.isfinite(new_norm):
             return NewtonResult(x, extra, iteration, norm, "non-finite function value")
 
         step_norm = float(np.linalg.norm(t * dx))
-        x, fx, J, extra = x_new, f_new, J_new, extra_new
-        norm = float(np.abs(fx).max())
+        x, fx, J, extra, norm = x_new, f_new, J_new, extra_new, new_norm
         if norm < NEWTON_RESIDUAL_TOL or (step_norm < NEWTON_STEP_TOL and norm <= ACCEPT_PSI_MEAN_TOL):
             return NewtonResult(x, extra, iteration, norm)
         if step_norm < NEWTON_STEP_TOL:
@@ -520,12 +550,15 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     ``ols`` is the least-squares fit of the regression: the design and
     response are read from it, and it seeds the starts and the screens.
-    Starts are tried in their fixed order. A start's verdict is its Newton
-    run's failure reason, else the first screen its root breaks; the first
-    start with neither is returned with its rows and sandwich ``A``, and if
-    none is, a :class:`FitFailure` records the reasons, one per start. Needs
-    n >= p + 10 so the residual score estimate has something to work with.
-    The root's rows and ``A`` come with it from Newton, as its extra value.
+    Starts are tried in their fixed order, the rows of ``make_starts``; its
+    first row is the least-squares theta itself, and the other four are built
+    only if that start fails. A start's verdict is its Newton run's failure
+    reason, else the first screen its root breaks; the first start with
+    neither is returned with its rows and sandwich ``A``, and if none is, a
+    :class:`FitFailure` records the reasons, one per start. Needs n >= p + 10
+    so the residual score estimate has something to work with. The root's
+    evaluation comes with it from Newton, as its extra value, and ``A`` is
+    formed from it once per converged root.
     """
     if ols.method != "ols":
         raise EstimationError(f"ols must be a least-squares fit, not a {ols.method} fit")
@@ -535,19 +568,25 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
     dim = p + 1
 
-    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
         try:
-            psi, J, A = semiparam_psi(design, y, v)
+            evaluation = semiparam_psi(design, y, v)
         except EstimationError:
             return np.full(dim, np.nan), np.full((dim, dim), np.nan), None
-        return psi.mean(axis=0), J, (psi, A)
+        # np.add.reduce(psi, 0) / n is what psi.mean(axis=0) computes.
+        return np.add.reduce(evaluation[0], 0) / n, evaluation[1], evaluation
+
+    def starts() -> Iterator[np.ndarray]:
+        yield ols.theta
+        yield from make_starts(ols)[1:]
 
     reasons: list[str] = []
-    for idx, start in enumerate(make_starts(ols)):
+    for idx, start in enumerate(starts()):
         result = newton_root(mean_psi, start)
         reason = result.reason
         if reason is None:
-            psi, A = result.extra
+            psi, J, ds_frozen = result.extra
+            A = frozen_score_jacobian(design, J, ds_frozen)
             rcond = reciprocal_condition(A)
             reason = screen_root(result.root, rcond, ols)
         if reason is None:

@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,45 @@ class TestLoadCsv:
         ds = load_csv(write(tmp_path, 'a,b\n1,"x\n2,0"\n3,4\n'), columns=["a"])
         assert np.array_equal(ds.column("a"), [1.0, 3.0])
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 64, data.LINE_END_CHUNK])
+    @pytest.mark.parametrize("with_cr", [False, True])
+    def test_line_ends_match_one_scan_of_the_whole_buffer(self, monkeypatch, chunk, with_cr):
+        rng = np.random.default_rng(chunk)
+        buf = rng.choice(np.frombuffer(b"1,\r\n", dtype=np.uint8), size=300)
+        expected = np.flatnonzero(buf == ord("\n"))
+        if with_cr:
+            expected = np.sort(np.concatenate([expected, np.flatnonzero(buf == ord("\r"))]))
+        monkeypatch.setattr(data, "LINE_END_CHUNK", chunk)
+        for size in (0, 1, chunk, 299, 300):
+            got = data._line_ends(buf[:size], with_cr)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected[expected < size])
+
+    def test_memory_above_the_file_is_the_dataset_and_the_line_index(self, tmp_path):
+        # One retained column of six: the Dataset's column is the parsed
+        # matrix itself, so the rest of the peak above the file's bytes is the
+        # line-end scan and numpy's reader. The scan holds at most three
+        # 8-byte integers per line (the line ends, their per-chunk parts and
+        # the line lengths) and two chunks of masks; 128 KiB covers the
+        # reader's buffers. A mask over the whole file would add its size,
+        # about 120 bytes per line here.
+        n = 20_000
+        rng = np.random.default_rng(0)
+        path = tmp_path / "wide.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("a,b,c,d,e,f\n")
+            np.savetxt(fh, rng.standard_normal((n, 6)), delimiter=",", fmt="%.17g")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_csv(str(path), columns=["c"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(col.nbytes for col in ds.columns.values())
+        allowance = 3 * 8 * (n + 1) + 2 * data.LINE_END_CHUNK + 128 * 1024
+        assert peak - size <= held + allowance
+
 
 def oracle_load(path, columns):
     """The CSV contract written out directly: csv.reader, float() and a finite filter."""
@@ -486,7 +526,7 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="distinct"):
             build_design(ds, ModelSpec(response="Y", treatment="T", covariates=("T",)))
 
-    def test_column_means_and_centered_regressors_are_kept_read_only(self, laplace_mediation_data):
+    def test_column_means_centered_regressors_and_transpose_are_kept_read_only(self, laplace_mediation_data):
         design = build_design(
             laplace_mediation_data,
             ModelSpec(response="Y", treatment="T", mediator="M", covariates=("X1",), interaction=True),
@@ -495,7 +535,10 @@ class TestBuildDesign:
         assert design.column_means.tobytes() == X.mean(axis=0).tobytes()
         assert design.centered_regressors.tobytes() == (X[:, 1:] - X[:, 1:].mean(axis=0)).tobytes()
         assert design.centered_regressors is design.centered_regressors
-        for kept in (design.column_means, design.centered_regressors):
+        assert design.transposed.tobytes() == X.T.copy().tobytes()
+        assert design.transposed.shape == (X.shape[1], X.shape[0]) and design.transposed.flags.c_contiguous
+        assert design.transposed is design.transposed
+        for kept in (design.column_means, design.centered_regressors, design.transposed):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0] = 0.0
 

@@ -15,6 +15,7 @@ from semimediation.estimators import (
     RegressionFit,
     fit_ols,
     fit_semiparametric,
+    frozen_score_jacobian,
     make_starts,
     newton_root,
     screen_root,
@@ -119,10 +120,21 @@ def fit_sandwich(fit):
     return A_inv @ B @ A_inv.T / fit.n
 
 
+def kernel_pass(e, h, X, dh):
+    """``_kernel_score`` on residuals e and an n x p design X, centring and transposing as ``semiparam_psi`` does."""
+    return estimators._kernel_score(e, e - e.mean(), h, np.ascontiguousarray(X.T), dh)
+
+
+def psi_rows_J_A(design, y, point):
+    """``semiparam_psi``'s rows and J at one point, with the sandwich A formed from the same evaluation."""
+    psi, J, ds_frozen = semiparam_psi(design, y, point)
+    return psi, J, frozen_score_jacobian(design, J, ds_frozen)
+
+
 def kernel_score(e):
     """Leave-one-out score at the residuals themselves, and the Silverman bandwidth it used."""
     h = estimators.silverman_bandwidth(e - e.mean())
-    return estimators._kernel_score(e, h, np.ones((e.size, 1)), np.zeros(1))[0], h
+    return kernel_pass(e, h, np.ones((e.size, 1)), np.zeros(1))[0], h
 
 
 class TestKernelScore:
@@ -167,7 +179,7 @@ class TestKernelScore:
         design = DesignMatrix(np.ones((n, 1)), ("intercept",), 1)
         with mock.patch.object(estimators, "_kernel_score", wraps=estimators._kernel_score) as kernel_pass:
             semiparam_psi(design, e, np.array([0.0, 1.0]))
-        assert kernel_pass.call_args.args[1] == 1.06 * np.std(e, ddof=1) * n**-0.2
+        assert kernel_pass.call_args.args[2] == 1.06 * np.std(e, ddof=1) * n**-0.2
 
     def test_zero_variance_is_error(self):
         design, resp = simple_design(np.array([0.0, 1.0] * 10), np.ones(20))
@@ -616,6 +628,67 @@ class TestFitSemiparametric:
         assert fit.design is ols.design
         assert fit.response is ols.response
 
+    @pytest.mark.parametrize(
+        "law, floor_rel, clip_over_h, branches",
+        [
+            ("gaussian", estimators.DENSITY_FLOOR_REL, estimators.SCORE_CLIP_OVER_H, False),
+            (ASYMMETRIC_MIXTURE, 0.1, 1.0, True),
+        ],
+        ids=["dense", "clamped-and-clipped"],
+    )
+    def test_rows_and_A_are_those_of_a_fresh_evaluation_at_the_root(self, monkeypatch, law, floor_rel, clip_over_h, branches):
+        # A raised density floor and a lowered clip bound make the second
+        # root's evaluation clamp some points and clip others.
+        monkeypatch.setattr(estimators, "DENSITY_FLOOR_REL", floor_rel)
+        monkeypatch.setattr(estimators, "SCORE_CLIP_OVER_H", clip_over_h)
+        design, y = law_design(law, 0)
+        fit = fit_semiparametric(fit_ols(design, y))
+        assert isinstance(fit, RegressionFit)
+        e = y - design.values @ fit.theta[:-1]
+        clamped, clipped = loo_kernel_branches(e, estimators.silverman_bandwidth(e - e.mean()), floor_rel, clip_over_h)
+        assert (clamped > 0, clipped > 0) == (branches, branches)
+        psi, J, ds_frozen = semiparam_psi(design, y, fit.theta)
+        assert fit.psi_values.tobytes() == psi.tobytes()
+        assert fit.jacobian_A.tobytes() == frozen_score_jacobian(design, J, ds_frozen).tobytes()
+
+    def test_A_is_formed_once_per_screened_root_not_per_evaluation(self, monkeypatch):
+        # The first converged root is screened out, so two roots are screened.
+        design, y = law_design(ASYMMETRIC_MIXTURE, 0)
+        verdicts = iter(["forced"])
+        real_screen_root = estimators.screen_root
+        monkeypatch.setattr(estimators, "screen_root", lambda *args: next(verdicts, None) or real_screen_root(*args))
+        with (
+            mock.patch.object(estimators, "frozen_score_jacobian", wraps=frozen_score_jacobian) as form_A,
+            mock.patch.object(estimators, "semiparam_psi", wraps=semiparam_psi) as evaluate,
+        ):
+            fit = fit_semiparametric(fit_ols(design, y))
+        assert isinstance(fit, RegressionFit)
+        assert fit.diagnostics.screened_reasons == ("start 0: forced",)
+        assert form_A.call_count == 2 < evaluate.call_count
+
+    def test_fallback_starts_are_built_in_order_only_after_start_0_fails(self, monkeypatch):
+        design, y = law_design(ASYMMETRIC_MIXTURE, 0)
+        ols = fit_ols(design, y)
+        with mock.patch.object(estimators, "make_starts", wraps=make_starts) as build:
+            assert fit_semiparametric(ols).diagnostics.start_index_used == 0
+        assert build.call_count == 0
+
+        received = []
+        real_newton_root = estimators.newton_root
+
+        def fail_two_starts(F, x0):
+            received.append(np.array(x0, dtype=float))
+            if len(received) <= 2:
+                return estimators.NewtonResult(received[-1], None, 1, 1.0, "forced")
+            return real_newton_root(F, x0)
+
+        monkeypatch.setattr(estimators, "newton_root", fail_two_starts)
+        fit = fit_semiparametric(ols)
+        assert isinstance(fit, RegressionFit)
+        assert fit.diagnostics.start_index_used == 2
+        assert fit.diagnostics.screened_reasons == ("start 0: forced", "start 1: forced")
+        assert [x0.tobytes() for x0 in received] == [row.tobytes() for row in make_starts(ols)[:3]]
+
     def test_semiparametric_fit_as_ols_rejected(self):
         rng = np.random.default_rng(14)
         t = (rng.random(60) < 0.5).astype(float)
@@ -672,14 +745,14 @@ def design_with_residuals(e, seed):
     return design, design.values @ point[:-1] + e, point
 
 
-def loo_kernel_branches(e, h):
+def loo_kernel_branches(e, h, floor_rel=1e-3, clip_over_h=10.0):
     """(clamped, clipped) counts of the leave-one-out kernel score at the data points."""
     u = (e[:, None] - e[None, :]) / h
     K = np.exp(-0.5 * u * u)
     np.fill_diagonal(K, 0.0)
     S0, S1 = K.sum(axis=1), (u * K).sum(axis=1)
-    ok = S0 >= 1e-3 * S0.max()
-    return int((~ok).sum()), int((np.abs(S1[ok] / S0[ok]) > 10.0).sum())
+    ok = S0 >= floor_rel * S0.max()
+    return int((~ok).sum()), int((np.abs(S1[ok] / S0[ok]) > clip_over_h).sum())
 
 
 def frozen_score_oracle(r, h):
@@ -732,10 +805,8 @@ class TestExactJacobians:
         fixed bandwidth against central differences."""
         X = design.values
         e = y - X @ point[:-1]
-        _, ds_newton, ds_frozen = estimators._kernel_score(e, h, X, np.zeros(design.p))
-        newton = central_diff(
-            lambda b: estimators._kernel_score(y - X @ b, h, X, np.zeros(design.p))[0], point[:-1], step_rel
-        )
+        _, ds_newton, ds_frozen = kernel_pass(e, h, X, np.zeros(design.p))
+        newton = central_diff(lambda b: kernel_pass(y - X @ b, h, X, np.zeros(design.p))[0], point[:-1], step_rel)
         frozen = central_diff(lambda b: frozen_score_oracle(e, h)(y - X @ b), point[:-1], step_rel)
         return rel_err(ds_newton, newton), rel_err(ds_frozen, frozen)
 
@@ -792,7 +863,7 @@ class TestExactJacobians:
         design, y, point = design_with_residuals(e, 7)
         h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
         assert loo_kernel_branches(e, h)[0] > 0
-        A = semiparam_psi(design, y, point)[2]
+        A = psi_rows_J_A(design, y, point)[2]
         oracle = central_diff(frozen_mean_psi_oracle(design, y, point), point)
         assert rel_err(A, oracle) <= 1e-6
 
@@ -824,7 +895,7 @@ class TestExactJacobians:
         design = build_design(ds, ModelSpec(response="Y", treatment="T", covariates=tuple(cols)))
         ols = fit_ols(design, y)
         point = np.append(ols.theta[:-1] + shift, ols.theta[-1])
-        _, J, A = semiparam_psi(design, y, point)
+        _, J, A = psi_rows_J_A(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-5
         assert rel_err(A, central_diff(frozen_mean_psi_oracle(design, y, point), point)) <= 1e-5
 
@@ -862,7 +933,7 @@ class TestKernelBlocks:
         e, h = self.EDGE_RESIDUALS, 0.1
         design, y, point = design_with_residuals(e, 8)
         with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(e.size, rows)):
-            score = estimators._kernel_score(e, h, design.values, np.zeros(design.p))[0]
+            score = kernel_pass(e, h, design.values, np.zeros(design.p))[0]
             errors = TestExactJacobians.fixed_bandwidth_errors(design, y, point, h, step_rel=1e-6)
         assert rel_err(score, direct_score_oracle(e, h)) <= BLOCK_RTOL
         assert score[6] == score[0] and score[13] == score[7]
@@ -885,7 +956,7 @@ class TestKernelBlocks:
         dh = rng.standard_normal(p)
         h = estimators.silverman_bandwidth(e - e.mean())
         with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(n, rows or n)):
-            got = estimators._kernel_score(e, h, X, dh)
+            got = kernel_pass(e, h, X, dh)
         for g, want in zip(got, direct_kernel_oracle(e, h, X, dh)):
             assert rel_err(g, want) <= ORACLE_RTOL
 
@@ -899,8 +970,8 @@ class TestKernelBlocks:
         design, y = law_design(ASYMMETRIC_MIXTURE, 3)
         point = fit_ols(design, y).theta
         cases = [
-            (e.size, lambda: estimators._kernel_score(e, h, X, dh)),
-            (y.size, lambda: semiparam_psi(design, y, point)),
+            (e.size, lambda: kernel_pass(e, h, X, dh)),
+            (y.size, lambda: psi_rows_J_A(design, y, point)),
         ]
         for n, call in cases:
             outputs = []

@@ -2,11 +2,14 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from semimediation.simulation import ERROR_LAWS, METRICS_HEADER
 
@@ -101,3 +104,56 @@ def test_replicate_digests_compare_names_flips_reasons_and_exit_codes(tmp_path):
     assert lines[lines.index("extra.csv: differs") + 1] == "  missing in A"
     # NaN cells equal NaN cells: the flipped row reports no numeric difference.
     assert not any(line.startswith("  max") for line in lines)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned_run(call_ms, peak_mb, correct=True, attempted=40):
+    """The two lines a benchmark run prints last, as ``perfbench/run.py`` writes them."""
+    info = json.dumps({"acme0_len_ratio": 0.48, "call_samples": 3})
+    metrics = {"call_ms_p50": {"value": call_ms, "unit": "ms"}, "peak_rss_mb": {"value": peak_mb, "unit": "MB"}}
+    result = json.dumps({"correct": correct, "attempted": attempted, "failed": 0 if correct else attempted, "metrics": metrics})
+    return f"info: {info}\n{result}\n"
+
+
+def test_bench_pairs_summarizes_canned_runs():
+    bench_pairs = load_script("bench_pairs.py")
+    declared = [
+        {"name": "call_ms_p50", "better": "lower"},
+        {"name": "reps_per_s", "better": "higher"},
+        {"name": "peak_rss_mb", "better": "lower"},
+    ]
+    parent = [canned_run(ms, 40.0) for ms in (100.0, 104.0, 101.0, 103.0, 102.0)]
+    change = [canned_run(ms, mb) for ms, mb in ((90.0, 40.5), (95.0, 39.5), (105.0, 40.0), (93.0, 41.0), (92.0, 39.0))]
+    runs = {"parent": [bench_pairs.parse_run(s) for s in parent], "change": [bench_pairs.parse_run(s) for s in change]}
+    summary = bench_pairs.summarize(runs, [7, 8, 9, 10, 11], declared)
+    assert summary["all_runs_correct"] and summary["failed_total"] == 0
+    assert summary["attempted"] == {"parent": [40] * 5, "change": [40] * 5}
+    assert summary["seeds"] == [7, 8, 9, 10, 11]
+    assert summary["acme0_len_ratio"]["change"] == [0.48] * 5
+    # A metric the runs do not report is left out.
+    assert sorted(summary["metrics"]) == ["call_ms_p50", "peak_rss_mb"]
+    call = summary["metrics"]["call_ms_p50"]
+    assert call["parent_runs"] == [100.0, 104.0, 101.0, 103.0, 102.0]
+    assert call["parent_q25_median_q75"] == [101.0, 102.0, 103.0]
+    assert call["change_q25_median_q75"] == [92.0, 93.0, 95.0]
+    # Lower is better: pair 2 (101 -> 105) is the one the change loses.
+    assert call["change_better_pairs"] == "4/5"
+    assert call["median_change_rel"] == round((93.0 - 102.0) / 102.0, 4)
+    # Ties count as not better.
+    assert summary["metrics"]["peak_rss_mb"]["change_better_pairs"] == "2/5"
+
+
+def test_bench_pairs_flags_an_incorrect_run():
+    bench_pairs = load_script("bench_pairs.py")
+    runs = {side: [bench_pairs.parse_run(canned_run(100.0, 40.0, correct=side == "parent"))] for side in ("parent", "change")}
+    summary = bench_pairs.summarize(runs, [1], [{"name": "call_ms_p50", "better": "lower"}])
+    assert not summary["all_runs_correct"]
+    assert summary["failed_total"] == 40
+    with pytest.raises(ValueError, match="one run per seed"):
+        bench_pairs.summarize(runs, [1, 2], [])
