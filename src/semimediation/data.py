@@ -154,7 +154,8 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
     The row-by-row ``csv.reader`` loop defines this behaviour. A file on which
     one numpy parse provably gives the same result, quoted cells and all, is
     read that way instead; every other file goes through the loop. The file
-    is read once, so a pipe works as well as a regular file.
+    is read once, so a pipe works as well as a regular file. The Dataset's
+    columns are views of the one parsed n x k matrix, not copies of it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -197,7 +198,7 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
         raise DataError(f"{path}: no usable rows after filtering ({dropped} dropped)")
     if dropped:
         logger.info("%s: dropped %d row(s) with missing or unparseable cells", path, dropped)
-    cols = {name: np.ascontiguousarray(mat[:, j]) for j, name in enumerate(names)}
+    cols = {name: mat[:, j] for j, name in enumerate(names)}
     return Dataset(tuple(names), cols, mat.shape[0], n_dropped=dropped)
 
 

@@ -23,14 +23,15 @@ one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and the frozen score's derivative as
 moment sums; ``A`` (score frozen) is formed from that derivative once per
 converged root (``frozen_score_jacobian``), not on every evaluation. The
-pass runs over row blocks of the kernel matrix in one reused
-buffer, so its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
-O(n p), never O(n^2). Each block takes three sweeps: the exponent as one
-rank-3 product of the mean-centred residuals, ``exp``, and one product with
-[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum. The
-rest of a pass is O(n p) bookkeeping, held transposed so that each
-elementwise step runs along n; the gathers for points below the density
-floor and the fix-ups for clipped scores run only when such points exist,
+pass's n^2 work has one owner, ``_kernel_product``: it runs over row blocks
+of the kernel matrix in one reused buffer, so its memory is a fixed budget
+(``KERNEL_BLOCK_BYTES``) plus O(n p), never O(n^2). Each block takes three
+sweeps: the exponent as one rank-3 product of the mean-centred residuals,
+``exp``, and one product with [X, a X, a^2 X, a^3] whose binomial expansion
+gives every moment sum. The rest of a pass is O(n p) bookkeeping, held
+transposed so that each elementwise step runs along n; points below the
+density floor copy the nearest dense point, found by a sorted search. That
+search and the fix-ups for clipped scores run only when such points exist,
 and what depends on the design alone (its centred regressors and column
 means) is computed once per design.
 ``fit_semiparametric`` reads its design and response from the least-squares
@@ -195,12 +196,17 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
     return RegressionFit(np.append(beta, sigma2), "ols", psi, A, diag, design, y)
 
 
-def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
+def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     """K @ [X, a X, a^2 X, a^3] for K_ik = exp(-(a_i - a_k)^2 / 2) with K_ii = 0.
 
-    ``Xt`` is X transposed. K is formed ``rows`` rows at a time in one reused
-    buffer; the buffer and the product's operands are freed on return, so only
-    the n x (3p + 1) result outlives the call.
+    ``Xt`` is X transposed. This is the kernel pass's only n^2 work and the
+    only reader of ``KERNEL_BLOCK_BYTES``: K is formed in blocks of
+    ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least one, in one reused buffer
+    of at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes. Each block takes three
+    sweeps: the exponent -(a_i - a_k)^2 / 2 = a_i a_k - a_i^2 / 2 - a_k^2 / 2
+    as one rank-3 product, ``exp`` in place with the diagonal zeroed, and one
+    product with [X, a X, a^2 X, a^3]. The buffer and the product's operands
+    are freed on return, so only the n x (3p + 1) result outlives the call.
 
     The product keeps its 3p + 1 columns and its n x (3p + 1) layout. Two
     other layouts were timed in whole gate rounds, alternating with this one
@@ -231,6 +237,7 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray, rows: int) -> np.ndarray:
     powers = P.T.copy()
     del P
     B = np.empty_like(powers)
+    rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
     K_buf = np.empty((rows, n))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
@@ -276,31 +283,26 @@ def _kernel_score(
     Both derivatives are n x p; ``ds_frozen`` is returned as a transposed
     view, since only the sandwich at an accepted root reads it.
 
-    The n^2 work (``_kernel_product``) is three sweeps per block of rows, in
-    one reused rows x n buffer. With a = (e - ebar) / h, the exponent
-    -u_ik^2 / 2 = a_i a_k - a_i^2 / 2 - a_k^2 / 2 is one rank-3 product, then
-    ``exp`` runs in place and the diagonal is zeroed. One product of K with
-    [X, a X, a^2 X, a^3] gives B_j = sum_k a_k^j K x_k and B3 = sum_k a_k^3 K,
-    and u_ik = a_i - a_k expands the moments M_j = sum_k u^j K x_k in O(n p):
+    All n^2 work, and all of the pass's memory beyond O(n p), is
+    ``_kernel_product``'s: with a = (e - ebar) / h it gives
+    B_j = sum_k a_k^j K x_k and B3 = sum_k a_k^3 K, and u_ik = a_i - a_k
+    expands the moments M_j = sum_k u^j K x_k in O(n p):
     M0 = B0, M1 = a B0 - B1, M2 = a^2 B0 - 2 a B1 + B2 and
     S3 = a^3 S0 - 3 a^2 B1_0 + 3 a B2_0 - B3, with _0 the intercept column.
     The expansion loses about |a_i|^j units in the last place of M_j, hence
     the centring at the mean: by Chebyshev's inequality at most a share f of
     the residuals lies beyond sd / sqrt(f) of it, so |a| is small where they
     are dense, and a far outlier moves the centre by only its distance over
-    n. The blocks have rows = ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least
-    one, so the buffer takes at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes,
-    and it is freed before the O(n p) assembly. The assembly holds its arrays
+    n. The rest is O(n log n) assembly with no loop. It holds its arrays
     transposed, one column of length n per row, so that each elementwise step
     runs along n rather than across the p columns. The nearest dense point of
-    a clamped one is found in blocks of as many rows. When every point is
-    dense, each reads its own values with no gather, and when none is clipped
-    the clip fix-ups are skipped.
+    a clamped one is found by a sorted search over the dense residuals, and
+    only the clamped columns are filled. When every point is dense nothing
+    is sorted, and when none is clipped the clip fix-ups are skipped.
     """
     p, n = Xt.shape
     a = dev / h
-    rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
-    B = _kernel_product(a, Xt, rows).T.copy()
+    B = _kernel_product(a, Xt).T.copy()
     B0, B1, B2, B3 = B[:p], B[p : 2 * p], B[2 * p : 3 * p], B[3 * p]
     M1 = a * B0
     M2 = a * (M1 - 2.0 * B1) + B2
@@ -328,16 +330,29 @@ def _kernel_score(
     ds_frozen = Xt * (C[0] * w)
     ds_newton = ds_frozen - C * w
     ds_newton += dh[:, None] * ((S1 - S3 + q * S2) * w - raw / h)
-    # A point below the floor reads its score and derivatives from the
-    # nearest dense point; when every point is dense each reads its own.
+    # A point below the floor copies the score and derivatives of the nearest
+    # dense point, the one argmin over |e_bad - e_good| picks: the nearer of
+    # the runs of equal values at or above and below it, and of those the
+    # lowest index. Sorting the dense points by value, ties by index, puts
+    # each run's lowest index first; a point beyond either end of the order
+    # finds the end's run on both sides. (Where distinct dense values on one
+    # side lie at distances that round to the same double, argmin takes the
+    # lowest index among them and this search the nearest value.) The
+    # sources are dense, so no column is read after it is written.
     if not ok.all():
         bad = np.flatnonzero(~ok)
         good = np.flatnonzero(ok)
-        src = np.arange(n)
-        for lo in range(0, bad.size, rows):
-            blk = bad[lo : lo + rows]
-            src[blk] = good[np.abs(e[blk, None] - e[good]).argmin(axis=1)]
-        raw, ds_newton, ds_frozen = raw[src], ds_newton[:, src], ds_frozen[:, src]
+        order = good[np.argsort(e[good], kind="stable")]
+        v, eb = e[order], e[bad]
+        at = np.searchsorted(v, eb)
+        above = np.minimum(at, v.size - 1)
+        below = np.searchsorted(v, v[np.maximum(at - 1, 0)])
+        d_above, d_below = np.abs(eb - v[above]), np.abs(eb - v[below])
+        above, below = order[above], order[below]
+        src = np.where((d_below < d_above) | ((d_below == d_above) & (below < above)), below, above)
+        raw[bad] = raw[src]
+        ds_newton[:, bad] = ds_newton[:, src]
+        ds_frozen[:, bad] = ds_frozen[:, src]
     clip = SCORE_CLIP_OVER_H / h
     score = np.minimum(np.maximum(raw, -clip), clip)
     clipped = np.abs(raw) > clip

@@ -997,6 +997,81 @@ class TestKernelBlocks:
         assert peak <= estimators.KERNEL_BLOCK_BYTES + 16 * 8 * n * (p + 1)
 
 
+def clamp_sources(e, h, X):
+    """The clamped points of the kernel pass, and the dense point that argmin over |e_bad - e_good| picks for each."""
+    S0 = estimators._kernel_product((e - e.mean()) / h, np.ascontiguousarray(X.T))[:, 0]
+    ok = S0 >= estimators.DENSITY_FLOOR_REL * S0.max()
+    bad, good = np.flatnonzero(~ok), np.flatnonzero(ok)
+    return bad, good[np.abs(e[bad, None] - e[good]).argmin(axis=1)]
+
+
+class TestClampLookup:
+    """A clamped point copies, bit for bit, the score and derivatives of the dense point that argmin picks.
+
+    The oracle tolerance above cannot tell a tie resolved to the wrong point
+    from the right one, since tied points have nearly equal scores.
+    """
+
+    @staticmethod
+    def assert_copies(e, h, X, dh, bad, src):
+        score, ds_newton, ds_frozen = kernel_pass(e, h, X, dh)
+        assert score[bad].tobytes() == score[src].tobytes()
+        assert ds_newton[bad].tobytes() == ds_newton[src].tobytes()
+        assert ds_frozen[bad].tobytes() == ds_frozen[src].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_resolve_to_the_lowest_index(self, seed):
+        # Two dense clusters on a grid of eighths, each value held by a
+        # hundred points or more, so that every run is long; at h = 1 the
+        # peak S0 is above 1400, and a point whose only neighbour is its twin
+        # (S0 = 1) is below the floor. The outliers are two equal points
+        # exactly halfway between the clusters (39.75 is 39.25 from both 0.5
+        # and 79), a point below both and one above both. The rows are
+        # shuffled, so the lowest index of the tie lies in either cluster.
+        rng = np.random.default_rng(seed)
+        e = np.r_[0.125 * rng.integers(0, 5, 1500), 79.0 + 0.125 * rng.integers(0, 5, 500), 39.75, 39.75, -30.0, 120.0]
+        e = e[rng.permutation(e.size)]
+        X = np.column_stack([np.ones(e.size), rng.standard_normal((e.size, 2))])
+        dh = rng.standard_normal(3)
+        bad, src = clamp_sources(e, 1.0, X)
+        assert sorted(e[bad].tolist()) == [-30.0, 39.75, 39.75, 120.0]
+        tied = np.flatnonzero((e == 0.5) | (e == 79.0))
+        assert src[e[bad] == 39.75].tolist() == [tied.min()] * 2
+        self.assert_copies(e, 1.0, X, dh, bad, src)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1500, 3000), decimals=st.sampled_from([None, 1, 2]))
+    @example(seed=11, n=3000, decimals=None)
+    @example(seed=11, n=3000, decimals=1)
+    @settings(max_examples=10, deadline=None)
+    def test_t2_residuals(self, seed, n, decimals):
+        # t with 2 degrees of freedom puts 3 to 21 points below the floor at
+        # these n (300 seeds); rounded to one decimal, about one clamped
+        # point in eleven has a run of equal nearest values.
+        rng = np.random.default_rng(seed)
+        e = rng.standard_t(2, n)
+        if decimals is not None:
+            e = np.round(e, decimals)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 3))])
+        dh = rng.standard_normal(4)
+        h = estimators.silverman_bandwidth(e - e.mean())
+        bad, src = clamp_sources(e, h, X)
+        assert bad.size >= 1
+        self.assert_copies(e, h, X, dh, bad, src)
+
+    def test_distances_that_round_equal_take_the_nearer_value(self):
+        # The one departure from argmin: 1e4 - 3 and 1e4 - (3 + 5e-13) round
+        # to the same double, so argmin takes the lower index, 0, and the
+        # sorted search the nearer value, 1. The two scores differ in the
+        # last bits, so the outputs tell the two apart.
+        e = np.r_[3.0, 3.0 + 5e-13, 3.0 - 0.001 * np.arange(1, 1500), 1e4]
+        X = np.ones((e.size, 1))
+        bad, src = clamp_sources(e, 1.0, X)
+        assert bad.tolist() == [e.size - 1] and src.tolist() == [0]
+        score = kernel_pass(e, 1.0, X, np.ones(1))[0]
+        assert score[0] != score[1]
+        self.assert_copies(e, 1.0, X, np.ones(1), bad, np.array([1]))
+
+
 
 def test_least_squares_path_holds_each_row_array_once():
     # stack_fits forms B from each pair of fits' own rows, so it allocates

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from semimediation.simulation import ERROR_LAWS, METRICS_HEADER
@@ -157,3 +159,25 @@ def test_bench_pairs_flags_an_incorrect_run():
     assert summary["failed_total"] == 40
     with pytest.raises(ValueError, match="one run per seed"):
         bench_pairs.summarize(runs, [1, 2], [])
+
+
+def test_bench_kernel_scaling_records_a_small_fit(tmp_path):
+    out = tmp_path / "scaling.json"
+    proc = run_script("bench_kernel_scaling.py", "--n", "200", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    [record] = json.loads(out.read_text())["runs"]
+    assert record["n"] == 200
+    assert record["kernel_passes"] > 0
+    assert record["semiparametric_ok"]
+    effects = [record[k] for k in ("semiparametric_estimates", "semiparametric_ci_lower", "semiparametric_ci_upper")]
+    assert all(len(values) == 5 and all(math.isfinite(v) for v in values) for values in effects)
+    assert proc.stdout.startswith("n=200: ")
+    # A budget of 8000 bytes makes the pass take blocks of 5 rows; GEMM
+    # sums may round differently, so the effects agree to rounding.
+    small = tmp_path / "small_blocks.json"
+    proc = run_script("bench_kernel_scaling.py", "--n", "200", "--block-bytes", "8000", "--out", str(small))
+    assert proc.returncode == 0, proc.stderr
+    [blocked] = json.loads(small.read_text())["runs"]
+    assert blocked["block_bytes"] == 8000
+    assert blocked["kernel_passes"] == record["kernel_passes"]
+    np.testing.assert_allclose(blocked["semiparametric_estimates"], record["semiparametric_estimates"], rtol=1e-10)
