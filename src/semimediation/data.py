@@ -12,6 +12,7 @@ import csv
 import io
 import logging
 import math
+import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,8 +27,9 @@ ROLE_MEDIATOR = "mediator"
 ROLE_INTERACTION = "interaction"
 ROLE_COVARIATE = "covariate"
 
-# Bytes per step of the CSV line-end scan: its boolean masks take this much
-# memory instead of one byte per byte of the file.
+# Bytes per step of the CSV scans: the line-end scan's boolean masks, and the
+# rows that dropping rows moves at a time, take this much memory instead of
+# one byte per byte of the file or a second copy of the parsed matrix.
 LINE_END_CHUNK = 1 << 18
 
 
@@ -182,10 +184,7 @@ def load_csv(path: str, columns: list[str] | None = None) -> Dataset:
         except ValueError as exc:
             reason = str(exc)
     if reason is None:
-        finite = np.isfinite(mat).all(axis=1)
-        dropped = len(finite) - int(np.count_nonzero(finite))
-        if dropped:
-            mat = mat[finite]
+        mat, dropped = _drop_nonfinite_rows(mat)
         logger.debug("%s: bulk route kept %d row(s), dropped %d", path, len(mat), dropped)
     else:
         try:
@@ -227,18 +226,51 @@ def _parse_bulk(data: bytes, width: int, keep: list[int]) -> np.ndarray:
     lengths = np.diff(ends, prepend=-1, append=len(data)) - 1
     if lengths.max() > csv.field_size_limit():
         raise ValueError("line longer than the csv field size limit")
+    # numpy skips empty lines. Only where each non-empty line holds one record is every field within a line.
+    lines = int(np.count_nonzero(lengths[1:]))
+    del ends, lengths  # the parse needs only their count
     read = sorted(set(keep))
     # Fields are named by position: an unread header name may repeat.
     dtype = [(f"f{i}", float if i in read else "U0") for i in range(width)]
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    rec = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, skiprows=1, quotechar='"', ndmin=1)
-    # numpy skips empty lines. Only where each non-empty line holds one record is every field within a line.
-    lines = np.count_nonzero(lengths[1:])
+    # A record takes at least one non-empty line, so max_rows=lines reads
+    # every record, into an array allocated once at its final size rather
+    # than grown. numpy warns that the blank lines it skips do not count
+    # towards max_rows, which is what the count assumes.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        rec = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, skiprows=1, quotechar='"', ndmin=1, max_rows=lines)
     if len(rec) != lines:
         raise ValueError(f"{lines} non-empty line(s) hold {len(rec)} record(s)")
     # The unread fields take no bytes, so each record is its floats in file order.
     mat = rec.view(float).reshape(len(rec), len(read))
     return mat if read == keep else mat[:, [read.index(i) for i in keep]]
+
+
+def _drop_nonfinite_rows(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """Move the rows of ``mat`` whose cells are all finite to its front, in place; return them and the drop count.
+
+    The rows are checked and moved a chunk at a time, so this takes at most
+    ``LINE_END_CHUNK`` bytes beside the matrix, not a second matrix: a row of
+    k cells takes 8 k bytes in the gathered copy and k + 9 in the masks and
+    the index of the gather, at most 9 (k + 1) in all. A kept row is written
+    at or before the row it is read from, and each chunk's kept rows are
+    gathered before any of them is written, so no row is overwritten before
+    it is read. Chunks before the first dropped row are only read. The
+    result is a view of ``mat``'s first rows.
+    """
+    step = max(1, LINE_END_CHUNK // (9 * (mat.shape[1] + 1)))
+    kept = 0
+    for lo in range(0, len(mat), step):
+        chunk = mat[lo : lo + step]
+        finite = np.isfinite(chunk).all(axis=1)
+        if kept == lo and finite.all():
+            kept += len(chunk)
+            continue
+        count = int(np.count_nonzero(finite))
+        mat[kept : kept + count] = chunk[finite]
+        kept += count
+    return mat[:kept], len(mat) - kept
 
 
 def _line_ends(buf: np.ndarray, with_cr: bool) -> np.ndarray:

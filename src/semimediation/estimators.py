@@ -2,10 +2,10 @@
 
 Two fitting routes share a single estimating-function interface:
 
-* ``fit_ols`` solves least squares and evaluates the moment rows
-  ``(x_ij * e_i, e_i^2 - sigma2)``. It is the one place that decides whether
-  a design can be fitted: its ``A`` must have reciprocal condition number
-  above ``RCOND_MIN``.
+* ``fit_ols`` solves least squares from the R factor of [X | y], accumulated
+  over row blocks, so that its working memory is O(block p) beside the
+  design. It is the one place that decides whether a design can be fitted:
+  its ``A`` must have reciprocal condition number above ``RCOND_MIN``.
 * ``fit_semiparametric`` solves the adaptive score equations -- intercept row
   ``e_i``, slope rows ``(x_ij - xbar_j) * shat(e_i)`` with ``shat`` the
   centered kernel-estimated log-density derivative of the residuals, variance
@@ -14,10 +14,15 @@ Two fitting routes share a single estimating-function interface:
 
 A model's parameters are one vector theta = (beta, sigma2), coefficients
 first and the variance last, from the starts through Newton and the screens
-to the stacked sandwich. Both fits return theta, the per-observation
-estimating-function values and the averaged Jacobian ``A``, and nothing
-more: the sandwich covariance is formed once, over the stacked rows of both
-models, by ``inference.stack_fits``. Every Jacobian is exact and
+to the stacked sandwich. Both fits return theta, the residuals (and, for the
+semiparametric fit, the centred score) and the averaged Jacobian ``A``, and
+nothing of width p + 1 and length n: ``estimating_rows`` forms a fit's
+per-observation estimating-function rows for any range of rows on demand,
+least squares ``(x_ij * e_i, e_i^2 - sigma2)`` and the score equations as
+above. The sandwich covariance is formed once, over the stacked rows of both
+models, by ``inference.stack_fits``, block by block of rows; one constant,
+``ROW_BLOCK_BYTES``, sizes the blocks of both that sum and the least-squares
+factorization (``row_blocks``). Every Jacobian is exact and
 closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and
 one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
 Newton's Jacobian (score re-estimated) and the frozen score's derivative as
@@ -38,7 +43,8 @@ means) is computed once per design.
 fit that seeds its starts and builds the fallback starts only once the
 least-squares start fails. Newton hands back the rows and the frozen
 derivative of its evaluation at the root together with the root, so no
-kernel pass follows the solve.
+kernel pass follows the solve; the root's residuals and centred score are
+all the fit keeps of it.
 """
 
 from __future__ import annotations
@@ -78,6 +84,16 @@ SCORE_CLIP_OVER_H = 10.0
 # the one-buffer pass neither 1 nor 4 MiB was faster in every run at
 # n = 3000 to 20 000.
 KERNEL_BLOCK_BYTES = 2 * 1024 * 1024
+# Memory for one block of rows on the least-squares path: the rows of [X | y]
+# that one QR step takes in, and the stacked estimating rows from which one
+# step of B is summed. Read by row_blocks alone; at p = 7 a fit of up to
+# 16 384 rows is one block. Swept with scripts/memory_stages.py at n = 200 000
+# (three covariates and interaction, one BLAS thread, shared 2-vCPU VM,
+# OpenBLAS 0.3.31), four runs each: at 256 KiB the two fit_ols calls took
+# 16-20 and 21-28 ms, stack_fits 19-29 ms, and the run peaked at 64.8-65.1 MB
+# of RSS; at 1 MiB 19-22 and 23-28 ms, 13-21 ms and 65.3-65.4 MB; at 4 MiB
+# 24-29 and 27-35 ms, 16-21 ms and 75.4 MB.
+ROW_BLOCK_BYTES = 1024 * 1024
 
 
 class EstimationError(ValueError):
@@ -98,16 +114,19 @@ class RegressionFit:
     """A fitted regression with its inferential ingredients.
 
     ``theta`` is the parameter vector (beta, sigma2), coefficients first and
-    the variance last. ``psi_values`` holds the n x (p+1) per-observation
-    estimating-function rows at the solution and ``jacobian_A`` their averaged
-    parameter derivative with any fitted nuisance (the estimated score
-    function) held fixed. Stacked inference takes the rows and ``jacobian_A``
-    as they are and forms the only covariance from them.
+    the variance last. ``residuals`` are y - X beta at the solution and
+    ``centred_score`` the semiparametric fit's kernel score minus its mean
+    (None for least squares): from them ``rows`` forms the per-observation
+    estimating-function rows of any range of observations. ``jacobian_A`` is
+    the rows' averaged parameter derivative with any fitted nuisance (the
+    estimated score function) held fixed. Stacked inference takes the rows
+    and ``jacobian_A`` as they are and forms the only covariance from them.
     """
 
     theta: np.ndarray
     method: str
-    psi_values: np.ndarray
+    residuals: np.ndarray
+    centred_score: np.ndarray | None
     jacobian_A: np.ndarray
     diagnostics: FitDiagnostics
     design: DesignMatrix
@@ -116,6 +135,10 @@ class RegressionFit:
     @property
     def n(self) -> int:
         return self.response.shape[0]
+
+    def rows(self, rows: slice = slice(None)) -> np.ndarray:
+        """This fit's estimating-function rows ``rows``, from :func:`estimating_rows`."""
+        return estimating_rows(self.design, self.residuals, self.theta[-1], self.centred_score, rows)
 
 
 @dataclass(frozen=True)
@@ -150,19 +173,90 @@ def reciprocal_condition(matrix: np.ndarray) -> float:
     return float(svals[-1] / svals[0])
 
 
-def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
-    """Least-squares fit with its moment rows and their averaged Jacobian.
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering rows 0 to n, of ``ROW_BLOCK_BYTES`` // (8 width) rows each, at least one.
 
-    The moment rows are ``(x_ij * e_i, e_i^2 - sigma2)``. ``sigma2`` is the
-    usual RSS/(n-p); the variance moment row therefore does not average to
-    zero exactly, but the coefficient block of the sandwich formed from these
-    rows (HC0-style) is unaffected because the averaged Jacobian
-    ``A = [[-X'X/n, 0], [-2 mean(e x)', -1]]`` is block-triangular in sigma2.
+    A block of ``width`` float columns then takes at most max(``ROW_BLOCK_BYTES``,
+    8 width) bytes. This is the only reader of ``ROW_BLOCK_BYTES``.
+    """
+    rows = max(1, ROW_BLOCK_BYTES // (8 * width))
+    return (slice(lo, min(n, lo + rows)) for lo in range(0, n, rows))
+
+
+def estimating_rows(
+    design: DesignMatrix,
+    residuals: np.ndarray,
+    sigma2: float,
+    centred_score: np.ndarray | None = None,
+    rows: slice = slice(None),
+) -> np.ndarray:
+    """The estimating-function rows ``rows`` of one fit, a new m x (p + 1) array.
+
+    Least squares (``centred_score`` None) has rows ``(x_ij e_i, e_i^2 -
+    sigma2)``, the adaptive score equations ``(e_i, (x_ij - xbar_j) c_i,
+    e_i^2 - sigma2)`` for j >= 1, with c the centred score. Each entry is one
+    elementwise operation on row i alone, so a row has the same bits whatever
+    range it is formed in. This is the one place that forms rows.
+    """
+    e = residuals[rows]
+    p = design.values.shape[1]
+    out = np.empty((e.size, p + 1))
+    if centred_score is None:
+        np.multiply(design.values[rows], e[:, None], out=out[:, :p])
+    else:
+        out[:, 0] = e
+        np.multiply(design.centered_regressors[rows], centred_score[rows, None], out=out[:, 1:p])
+    variance = out[:, p]
+    np.multiply(e, e, out=variance)
+    variance -= sigma2
+    return out
+
+
+def _least_squares(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The least-squares coefficients from the R factor of [X | y]; NaN where R is singular or not finite.
+
+    R is accumulated over ``row_blocks``: each step factorizes the previous
+    R stacked on the next block of [X | y], so no more than one block is
+    held beside the data (the sequential TSQR of Demmel, Grigori, Hoemmen &
+    Langou 2012, SIAM J. Sci. Comput. 34:A206). With n rows in one block this
+    is a single Householder QR. beta solves R_11 beta = r_12 by an LU solve,
+    which on a triangular matrix is back substitution.
+    """
+    n, p = X.shape
+    R = np.empty((0, p + 1))
+    try:
+        for rows in row_blocks(n, p + 1):
+            k = len(R)
+            stacked = np.empty((k + rows.stop - rows.start, p + 1))
+            stacked[:k] = R
+            stacked[k:, :p] = X[rows]
+            stacked[k:, p] = y[rows]
+            R = np.linalg.qr(stacked, mode="r")
+            del stacked  # freed before the next block is stacked, not after
+        return np.linalg.solve(R[:p, :p], R[:p, p])
+    except np.linalg.LinAlgError:
+        # A zero pivot or non-finite arithmetic; the rcond check reports it.
+        return np.full(p, np.nan)
+
+
+def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
+    """Least-squares fit with its residuals and the averaged Jacobian of its moment rows.
+
+    The moment rows (``estimating_rows``) are ``(x_ij * e_i, e_i^2 -
+    sigma2)``. ``sigma2`` is the usual RSS/(n-p); the variance moment row
+    therefore does not average to zero exactly, but the coefficient block of
+    the sandwich formed from these rows (HC0-style) is unaffected because the
+    averaged Jacobian ``A = [[-X'X/n, 0], [-2 mean(e x)', -1]]`` is
+    block-triangular in sigma2. beta comes from ``_least_squares``, in
+    O(block p) memory beside the design; the residuals are the one n-vector
+    the fit allocates and keeps, and ``residual_norm`` is the largest of
+    |X'e / n| and |mean(e^2) - sigma2|, the rows' means.
 
     This is where a design is judged: ``A`` is singular exactly when X is
     rank-deficient, and a design whose ``A`` has reciprocal condition number
-    not above ``RCOND_MIN`` (rank-deficient or ill-conditioned) raises
-    :class:`EstimationError`, so every later step may invert ``A``.
+    not above ``RCOND_MIN`` (rank-deficient or ill-conditioned, or whose R
+    factor is singular or not finite) raises :class:`EstimationError`, so
+    every later step may invert ``A``.
     """
     X = design.values
     y = np.asarray(response, dtype=float)
@@ -171,29 +265,30 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
         raise EstimationError(f"response has shape {y.shape}, expected ({n},)")
     if n <= p:
         raise EstimationError(f"need n > p for least squares (n={n}, p={p})")
-    beta = np.linalg.lstsq(X, y, rcond=None)[0]
-    e = y - X @ beta
     A = np.zeros((p + 1, p + 1))
-    # Columns so large that these products overflow are reported once, by the
-    # rcond check below.
+    # Columns so large that these products overflow, and a beta that is not
+    # finite, are reported once, by the rcond check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma2 = float(e @ e) / (n - p)
+        beta = _least_squares(X, y)
+        e = X @ beta
+        np.subtract(y, e, out=e)
+        rss = float(e @ e)
+        sigma2 = rss / (n - p)
+        xe = (e @ X) / n
         A[:p, :p] = -(X.T @ X) / n
-        A[p, :p] = -2.0 * (e @ X) / n
+        A[p, :p] = -2.0 * xe
+        variance_mean = rss / n - sigma2
     A[p, p] = -1.0
     rcond = reciprocal_condition(A)
     if not (rcond > RCOND_MIN):
         raise EstimationError(f"design matrix is rank-deficient or ill-conditioned (rcond={rcond:.3g})")
-    psi = np.empty((n, p + 1))
-    np.multiply(X, e[:, None], out=psi[:, :p])
-    psi[:, p] = e * e - sigma2
     diag = FitDiagnostics(
         start_index_used=None,
         iterations=0,
-        residual_norm=float(np.max(np.abs(psi.mean(axis=0)))),
+        residual_norm=max(float(np.max(np.abs(xe))), abs(variance_mean)),
         rcond=rcond,
     )
-    return RegressionFit(np.append(beta, sigma2), "ols", psi, A, diag, design, y)
+    return RegressionFit(np.append(beta, sigma2), "ols", e, None, A, diag, design, y)
 
 
 def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
@@ -380,11 +475,12 @@ def semiparam_psi(
     design: DesignMatrix,
     response: np.ndarray,
     theta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adaptive-score estimating-function rows at one parameter vector
-    theta = (beta, sigma2), with the Jacobian of their mean for Newton (J)
-    and the frozen score's derivative from which ``frozen_score_jacobian``
-    forms the sandwich's (A).
+    theta = (beta, sigma2), with the Jacobian of their mean for Newton (J),
+    the frozen score's derivative from which ``frozen_score_jacobian``
+    forms the sandwich's (A), and the centred score from which the slope
+    rows are formed.
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
@@ -398,9 +494,10 @@ def semiparam_psi(
     (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)); Newton solves with it.
     ``ds_frozen``, n x p, is d score / d beta with the score function (data
     points, bandwidth, centering constant) frozen at this point, so only the
-    evaluation points move. Rows, J and ``ds_frozen`` all come from one
-    kernel pass; ``A`` is read only at an accepted root, so it is formed
-    there, once.
+    evaluation points move. Rows, J, ``ds_frozen`` and the centred score
+    all come from one kernel pass; ``A`` is read only at an accepted root,
+    so it is formed there, once. The rows are ``estimating_rows`` of the
+    residuals and the centred score.
     """
     beta, sigma2 = theta[:-1], theta[-1]
     if sigma2 <= 0.0:
@@ -427,17 +524,14 @@ def semiparam_psi(
     # carry no intercept coupling and their outer products must scale with the
     # centered regressor moments, or the covariance is inconsistent. For the
     # same reason the score's centering constant drops out of both Jacobians.
-    psi = np.empty((n, p + 1))
-    psi[:, 0] = e
-    x_centered = design.centered_regressors
-    np.multiply(x_centered, (s - np.add.reduce(s) / n)[:, None], out=psi[:, 1:p])
-    psi[:, p] = e * e - sigma2
+    centred_score = s - np.add.reduce(s) / n
+    psi = estimating_rows(design, e, sigma2, centred_score)
     J = np.zeros((p + 1, p + 1))
     J[0, :p] = -design.column_means
     J[p, :p] = -2.0 * (e @ X) / n
     J[p, p] = -1.0
-    J[1:p, :p] = x_centered.T @ ds_newton / n
-    return psi, J, ds_frozen
+    J[1:p, :p] = design.centered_regressors.T @ ds_newton / n
+    return psi, J, ds_frozen, centred_score
 
 
 def frozen_score_jacobian(design: DesignMatrix, J: np.ndarray, ds_frozen: np.ndarray) -> np.ndarray:
@@ -569,11 +663,11 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     first row is the least-squares theta itself, and the other four are built
     only if that start fails. A start's verdict is its Newton run's failure
     reason, else the first screen its root breaks; the first start with
-    neither is returned with its rows and sandwich ``A``, and if none is, a
-    :class:`FitFailure` records the reasons, one per start. Needs n >= p + 10
-    so the residual score estimate has something to work with. The root's
-    evaluation comes with it from Newton, as its extra value, and ``A`` is
-    formed from it once per converged root.
+    neither is returned with its residuals, centred score and sandwich
+    ``A``, and if none is, a :class:`FitFailure` records the reasons, one per
+    start. Needs n >= p + 10 so the residual score estimate has something to
+    work with. The root's evaluation comes with it from Newton, as its extra
+    value, and ``A`` is formed from it once per converged root.
     """
     if ols.method != "ols":
         raise EstimationError(f"ols must be a least-squares fit, not a {ols.method} fit")
@@ -583,7 +677,7 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
     dim = p + 1
 
-    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
         try:
             evaluation = semiparam_psi(design, y, v)
         except EstimationError:
@@ -600,7 +694,7 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
         result = newton_root(mean_psi, start)
         reason = result.reason
         if reason is None:
-            psi, J, ds_frozen = result.extra
+            psi, J, ds_frozen, centred_score = result.extra
             A = frozen_score_jacobian(design, J, ds_frozen)
             rcond = reciprocal_condition(A)
             reason = screen_root(result.root, rcond, ols)
@@ -612,6 +706,7 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
                 rcond=rcond,
                 screened_reasons=tuple(reasons),
             )
-            return RegressionFit(result.root, "semiparametric", psi, A, diag, design, y)
+            # The intercept row is the residuals.
+            return RegressionFit(result.root, "semiparametric", psi[:, 0].copy(), centred_score, A, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure(tuple(reasons))

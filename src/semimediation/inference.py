@@ -3,9 +3,10 @@
 :func:`stack_fits` stacks any fits on the same rows into one
 estimating-equation system; its sandwich covariance, the only one formed,
 comes from the fits' rows and ``A`` and is checked for finiteness there.
-``B`` is a sum over rows, so it is formed block by block from each pair of
-fits' rows, and the fits' rows are never copied side by side into one
-n-row array (Stefanski & Boos 2002, Am. Stat. 56:29).
+``B`` is a sum over rows, so it is accumulated over blocks of rows, each
+fit's rows of a block formed on demand from its residuals, per pair of fits;
+no fit holds its rows and no n-row array of them is built (Stefanski & Boos
+2002, Am. Stat. 56:29).
 :func:`map_intervals` is the one route from a stack to a reported number: it
 pushes the covariance through a map of some stacked parameters by the delta
 method and returns the values, their covariance, Wald bounds and p-values.
@@ -39,6 +40,7 @@ from .estimators import (
     RegressionFit,
     fit_ols,
     fit_semiparametric,
+    row_blocks,
 )
 
 # Two-sided 95% normal quantile, fixed for Wald intervals.
@@ -121,15 +123,18 @@ def stack_fits(*fits: RegressionFit) -> StackedFit:
     parameter Jacobian of the stacked psi. The fits share no parameters, so A
     is block diagonal with each fit's own ``jacobian_A`` as its block and
     exact zeros elsewhere; nothing is re-evaluated here. B is the averaged
-    outer product of the stacked rows, formed per pair of fits: for fits
-    i <= j its (i, j) block is ``psi_i' psi_j / n``, computed once from the
-    two fits' own rows. A block off the diagonal is mirrored into (j, i) and
-    one on it is a symmetric product, so B is exactly symmetric, and no
-    stacked n-row array is built. The off-diagonal blocks capture the
+    outer product of the stacked rows, a sum over rows: it is accumulated
+    over ``row_blocks`` of the stacked width, each fit's rows of a block
+    formed once by ``RegressionFit.rows``, so nothing of length n is held
+    beyond the fits. Per pair of fits i <= j the block adds ``psi_i' psi_j``
+    to B's (i, j) block, and the sum is divided by n once; with the n rows in
+    one block that is ``psi_i' psi_j / n`` of the whole rows. A block off
+    the diagonal is mirrored into (j, i) and one on it is a sum of symmetric
+    products, so B is exactly symmetric. The off-diagonal blocks capture the
     dependence induced by the shared sample. cov = A^-1 B A^-T / n is the one
     sandwich covariance of the pipeline; the fits carry none. Nothing here
-    reads a design or a role, so any fits stack: a mediator and an outcome
-    fit, or two fits of one model.
+    reads a role, so any fits stack: a mediator and an outcome fit, or two
+    fits of one model.
 
     Each block arrives checked: ``fit_ols`` rejects a least-squares ``A``
     and ``fit_semiparametric`` a root's ``A`` whose reciprocal condition
@@ -147,15 +152,20 @@ def stack_fits(*fits: RegressionFit) -> StackedFit:
     blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     A = np.zeros((theta.size, theta.size))
-    B = np.empty((theta.size, theta.size))
+    B = np.zeros((theta.size, theta.size))
     # Rows that overflow B are reported once, by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (fit, rows) in enumerate(zip(fits, blocks)):
-            A[rows, rows] = fit.jacobian_A
-            for j in range(i, len(fits)):
-                B[rows, blocks[j]] = fit.psi_values.T @ fits[j].psi_values / n
-                if j > i:
-                    B[blocks[j], rows] = B[rows, blocks[j]].T
+        for rows in row_blocks(n, theta.size):
+            psi = [fit.rows(rows) for fit in fits]
+            for i, block in enumerate(blocks):
+                for j in range(i, len(fits)):
+                    B[block, blocks[j]] += psi[i].T @ psi[j]
+            del psi  # freed before the next block's rows are formed, not after
+        B /= n
+    for i, (fit, block) in enumerate(zip(fits, blocks)):
+        A[block, block] = fit.jacobian_A
+        for j in range(i + 1, len(fits)):
+            B[blocks[j], block] = B[block, blocks[j]].T
     cov = sandwich_covariance(A, B, n)
     if not np.all(np.isfinite(cov)):
         raise InferenceError("stacked sandwich covariance is not finite")

@@ -331,8 +331,10 @@ class TestLoadCsv:
             assert np.array_equal(got, expected[expected < size])
 
     @staticmethod
-    def memory_above_the_file(tmp_path, n, columns):
+    def memory_above_the_file(tmp_path, n, columns, nan_row=None):
         """``load_csv``'s traced peak above the bytes of an n x 6 file, what its Dataset holds, and the allowance.
+
+        With ``nan_row``, one cell of that row is ``nan``, so the row is dropped.
 
         The allowance is the line-end scan and numpy's reader: the scan holds
         at most three 8-byte integers per line (the line ends, their
@@ -344,7 +346,10 @@ class TestLoadCsv:
         path = tmp_path / "wide.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("a,b,c,d,e,f\n")
-            np.savetxt(fh, rng.standard_normal((n, 6)), delimiter=",", fmt="%.17g")
+            values = rng.standard_normal((n, 6))
+            if nan_row is not None:
+                values[nan_row, 3] = np.nan
+            np.savetxt(fh, values, delimiter=",", fmt="%.17g")
         size = path.stat().st_size
         tracemalloc.start()
         try:
@@ -353,6 +358,7 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         held = sum(col.nbytes for col in ds.columns.values())
+        assert ds.n_dropped == (nan_row is not None)
         return peak - size, held, 3 * 8 * (n + 1) + 2 * data.LINE_END_CHUNK + 128 * 1024
 
     def test_memory_above_the_file_is_the_dataset_and_the_line_index(self, tmp_path):
@@ -369,6 +375,27 @@ class TestLoadCsv:
         above, held, allowance = self.memory_above_the_file(tmp_path, 50_000, None)
         assert allowance < held
         assert above <= held + allowance
+
+    def test_a_dropped_row_is_compacted_within_the_parsed_matrix(self, tmp_path):
+        # The kept rows move up inside the one parsed matrix a chunk at a
+        # time, so the peak holds the matrix once and one chunk beside it
+        # (128 KiB covers numpy's reader, as above). Gathering the kept rows
+        # into a new matrix would add the 960 kB matrix again.
+        above, held, _ = self.memory_above_the_file(tmp_path, 20_000, None, nan_row=10_000)
+        assert above <= held + data.LINE_END_CHUNK + 128 * 1024
+
+    @pytest.mark.parametrize("chunk", [9 * 7, 9 * 7 * 3, 1 << 18])
+    def test_dropping_rows_in_chunks_keeps_the_finite_rows_in_order(self, monkeypatch, chunk):
+        # Chunks of one row, of three rows, and one chunk for all 40 rows.
+        rng = np.random.default_rng(chunk)
+        mat = rng.standard_normal((40, 6))
+        mat[[0, 7, 8, 20, 39], [1, 0, 5, 2, 4]] = [np.nan, np.inf, -np.inf, np.nan, np.nan]
+        expected = mat[np.isfinite(mat).all(axis=1)]
+        monkeypatch.setattr(data, "LINE_END_CHUNK", chunk)
+        kept, dropped = data._drop_nonfinite_rows(mat)
+        assert dropped == 5
+        assert np.shares_memory(kept, mat)
+        assert np.array_equal(kept, expected)
 
 
 def oracle_load(path, columns):

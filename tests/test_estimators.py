@@ -4,11 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semimediation import estimators
-from semimediation.data import ModelSpec, build_design, dataset_from_arrays
+from semimediation.data import DesignMatrix, ModelSpec, build_design, dataset_from_arrays
 from semimediation.estimators import (
     EstimationError,
     FitFailure,
@@ -23,6 +23,10 @@ from semimediation.estimators import (
 )
 from semimediation.inference import mediate, stack_fits
 from semimediation.simulation import ASYMMETRIC_MIXTURE, ERROR_LAWS, ErrorSpec, sample_error
+
+
+# Rows per block in the block-edge cases of fit_ols.
+QR_BLOCK_ROWS = 10
 
 
 def simple_design(x, y):
@@ -70,11 +74,54 @@ class TestFitOls:
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
         e = resp - design.values @ fit.theta[:-1]
-        assert np.allclose(fit.psi_values[:, 0], e)
-        assert np.allclose(fit.psi_values[:, 1], t * e)
-        assert np.allclose(fit.psi_values[:, 2], e * e - fit.theta[-1])
+        psi = fit.rows()
+        assert np.allclose(psi[:, 0], e)
+        assert np.allclose(psi[:, 1], t * e)
+        assert np.allclose(psi[:, 2], e * e - fit.theta[-1])
         # coefficient moment rows average to zero at the solution
-        assert np.max(np.abs(fit.psi_values[:, :2].mean(axis=0))) < 1e-10
+        assert np.max(np.abs(psi[:, :2].mean(axis=0))) < 1e-10
+
+    def test_rows_are_the_moment_rows_bit_for_bit(self):
+        # The rows formed on demand from the kept residuals are the moment
+        # rows written out from y - X beta, and a block of them has the same
+        # bits as the same rows of the whole.
+        design, y = law_design(ASYMMETRIC_MIXTURE, 2)
+        fit = fit_ols(design, y)
+        X = design.values
+        e = y - X @ fit.theta[:-1]
+        assert fit.residuals.tobytes() == e.tobytes()
+        rows = np.column_stack([X * e[:, None], e * e - fit.theta[-1]])
+        assert fit.rows().tobytes() == rows.tobytes()
+        assert fit.rows(slice(7, 20)).tobytes() == rows[7:20].tobytes()
+
+    @pytest.mark.parametrize("n", [QR_BLOCK_ROWS - 1, QR_BLOCK_ROWS, QR_BLOCK_ROWS + 1, 3 * QR_BLOCK_ROWS + 1])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        log_scale=st.floats(-3.0, 3.0),
+        mix=st.floats(0.0, 0.999),
+        noise=st.floats(1e-3, 10.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_blocked_qr_agrees_with_lstsq(self, n, seed, p, log_scale, mix, noise):
+        # Blocks of QR_BLOCK_ROWS rows: the last one is a row short, full, a
+        # single row, or a single row after three full blocks.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p))
+        slopes = ((1.0 - mix) * z[:, 1:] + mix * z[:, :1]) * 10.0 ** (log_scale * np.linspace(-1.0, 1.0, p - 1))
+        X = np.column_stack([np.ones(n), slopes])
+        y = X @ rng.standard_normal(p) + noise * rng.standard_normal(n)
+        oracle = np.linalg.lstsq(X, y, rcond=None)[0]
+        e = y - X @ oracle
+        A = np.zeros((p + 1, p + 1))
+        A[:p, :p] = -(X.T @ X) / n
+        A[p, :p] = -2.0 * (e @ X) / n
+        A[p, p] = -1.0
+        assume(estimators.reciprocal_condition(A) >= 1e-8)
+        design = DesignMatrix(X, ("intercept",) + ("covariate",) * (p - 1), p)
+        with mock.patch.object(estimators, "ROW_BLOCK_BYTES", 8 * (p + 1) * QR_BLOCK_ROWS):
+            beta = fit_ols(design, y).theta[:-1]
+        assert np.max(np.abs(beta - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_underdetermined_rejected(self):
         from semimediation.data import DesignMatrix
@@ -83,12 +130,14 @@ class TestFitOls:
         with pytest.raises(EstimationError, match="n > p"):
             fit_ols(design, np.array([1.0]))
 
+    @pytest.mark.parametrize("block_rows", [None, 8], ids=["one-block", "blocks-of-8"])
     @pytest.mark.parametrize(
         "covariates",
         [("X1", "DUP"), ("ZERO",), ("TWO_M",)],
         ids=["duplicated-column", "all-zero-covariate", "twice-the-mediator"],
     )
-    def test_rank_deficiency_rejected(self, covariates):
+    def test_rank_deficiency_rejected(self, monkeypatch, covariates, block_rows):
+        # An exactly singular R ends in the rcond error, not in numpy's LinAlgError.
         rng = np.random.default_rng(3)
         n = 40
         t = (rng.random(n) < 0.5).astype(float)
@@ -96,7 +145,9 @@ class TestFitOls:
         x1 = rng.standard_normal(n)
         ds = dataset_from_arrays(T=t, M=m, Y=rng.standard_normal(n), X1=x1, DUP=x1.copy(), ZERO=np.zeros(n), TWO_M=2.0 * m)
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M", covariates=covariates))
-        with pytest.raises(EstimationError, match="rank-deficient"):
+        if block_rows:
+            monkeypatch.setattr(estimators, "ROW_BLOCK_BYTES", 8 * (design.p + 1) * block_rows)
+        with pytest.raises(EstimationError, match=r"rank-deficient or ill-conditioned \(rcond="):
             fit_ols(design, ds.column("Y"))
 
     def test_sandwich_is_hc0_for_coefficients(self):
@@ -116,7 +167,8 @@ class TestFitOls:
 def fit_sandwich(fit):
     """A^-1 B A^-T / n from one fit's own rows and A."""
     A_inv = np.linalg.inv(fit.jacobian_A)
-    B = fit.psi_values.T @ fit.psi_values / fit.n
+    psi = fit.rows()
+    B = psi.T @ psi / fit.n
     return A_inv @ B @ A_inv.T / fit.n
 
 
@@ -127,7 +179,7 @@ def kernel_pass(e, h, X, dh):
 
 def psi_rows_J_A(design, y, point):
     """``semiparam_psi``'s rows and J at one point, with the sandwich A formed from the same evaluation."""
-    psi, J, ds_frozen = semiparam_psi(design, y, point)
+    psi, J, ds_frozen, _ = semiparam_psi(design, y, point)
     return psi, J, frozen_score_jacobian(design, J, ds_frozen)
 
 
@@ -299,7 +351,7 @@ class TestSemiparamPsi:
         y = 0.3 + t + rng.standard_normal(60)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        psi, _, _ = semiparam_psi(design, resp, ols.theta)
+        psi, *_ = semiparam_psi(design, resp, ols.theta)
         assert abs(psi[:, 0].mean()) < 1e-10
 
     def test_matches_direct_oracle(self):
@@ -313,7 +365,7 @@ class TestSemiparamPsi:
         # Blocks of one row, of 7 rows (a block edge inside the data) and of all rows.
         for rows in (1, 7, y.size):
             with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(y.size, rows)):
-                psi, _, _ = semiparam_psi(design, y, point)
+                psi, *_ = semiparam_psi(design, y, point)
             assert np.max(np.abs(psi - oracle)) < 1e-8
 
     def test_score_values_centered(self):
@@ -322,7 +374,7 @@ class TestSemiparamPsi:
         y = t + rng.laplace(size=50)
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
-        psi, _, _ = semiparam_psi(design, resp, fit.theta)
+        psi, *_ = semiparam_psi(design, resp, fit.theta)
         x_centered = t - t.mean()
         assert abs((psi[:, 1] / x_centered).mean()) < 1e-12
 
@@ -477,7 +529,8 @@ def _fake_ols(beta, sigma2):
     return RegressionFit(
         np.append(beta, sigma2),
         "ols",
-        np.zeros((n, p + 1)),
+        np.zeros(n),
+        None,
         -np.eye(p + 1),
         FitDiagnostics(None, 0, 0.0, 1.0),
         design,
@@ -570,7 +623,7 @@ class TestFitSemiparametric:
         design = build_design(ds, ModelSpec(response="Y", treatment="T"))
         fit = fit_semiparametric(fit_ols(design, y))
         assert isinstance(fit, RegressionFit)
-        assert np.max(np.abs(fit.psi_values.mean(axis=0))) <= 1e-6
+        assert np.max(np.abs(fit.rows().mean(axis=0))) <= 1e-6
         assert fit.diagnostics.rcond > 1e-10
         assert fit.diagnostics.start_index_used == 0
 
@@ -606,7 +659,8 @@ class TestFitSemiparametric:
         b = fit_semiparametric(fit_ols(design, y))
         assert np.array_equal(a.theta[:-1], b.theta[:-1])
         assert a.theta[-1] == b.theta[-1]
-        assert np.array_equal(a.psi_values, b.psi_values)
+        assert np.array_equal(a.residuals, b.residuals)
+        assert np.array_equal(a.centred_score, b.centred_score)
         assert np.array_equal(a.jacobian_A, b.jacobian_A)
         assert np.array_equal(fit_sandwich(a), fit_sandwich(b))
         assert a.diagnostics == b.diagnostics
@@ -647,8 +701,8 @@ class TestFitSemiparametric:
         e = y - design.values @ fit.theta[:-1]
         clamped, clipped = loo_kernel_branches(e, estimators.silverman_bandwidth(e - e.mean()), floor_rel, clip_over_h)
         assert (clamped > 0, clipped > 0) == (branches, branches)
-        psi, J, ds_frozen = semiparam_psi(design, y, fit.theta)
-        assert fit.psi_values.tobytes() == psi.tobytes()
+        psi, J, ds_frozen, _ = semiparam_psi(design, y, fit.theta)
+        assert fit.rows().tobytes() == psi.tobytes()
         assert fit.jacobian_A.tobytes() == frozen_score_jacobian(design, J, ds_frozen).tobytes()
 
     def test_A_is_formed_once_per_screened_root_not_per_evaluation(self, monkeypatch):
@@ -816,7 +870,7 @@ class TestExactJacobians:
             design, y = law_design(law, seed)
             ols = fit_ols(design, y)
             point = np.append(ols.theta[:-1] + 0.05, 1.2 * ols.theta[-1])
-            _, J, _ = semiparam_psi(design, y, point)
+            _, J, *_ = semiparam_psi(design, y, point)
             assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
 
     @pytest.mark.parametrize("law", ERROR_LAWS)
@@ -833,7 +887,7 @@ class TestExactJacobians:
         design, y, point = design_with_residuals(e, 5)
         h = 1.06 * np.std(e, ddof=1) * e.size ** (-0.2)
         assert loo_kernel_branches(e, h)[0] > 0
-        _, J, _ = semiparam_psi(design, y, point)
+        _, J, *_ = semiparam_psi(design, y, point)
         assert rel_err(J, self.newton_oracle(design, y, point)) <= 1e-6
 
     def test_newton_jacobian_with_clipped_and_clamped_points(self):
@@ -1073,13 +1127,14 @@ class TestClampLookup:
 
 
 
-def test_least_squares_path_holds_each_row_array_once():
-    # stack_fits forms B from each pair of fits' own rows, so it allocates
-    # nothing of length n. mediate's peak exceeds what it returns (two designs
-    # and two fits' rows) by less than one block of outcome rows: neither a
-    # stacked copy of both fits' rows nor a temporary beside each fit's rows.
+def least_squares_memory(n):
+    """Traced bytes of the least-squares path at n rows, three covariates and interaction.
+
+    Returns stack_fits' peak, fit_ols' peak above what it returns (the outcome
+    fit), mediate's live set at return above its two designs, and mediate's
+    peak above that live set.
+    """
     rng = np.random.default_rng(24)
-    n = 20_000
     t = (rng.random(n) < 0.5).astype(float)
     x = rng.standard_normal((3, n))
     m = 0.3 + 0.5 * t + 0.2 * x.sum(axis=0) + rng.standard_normal(n)
@@ -1088,16 +1143,36 @@ def test_least_squares_path_holds_each_row_array_once():
     covariates = ("X1", "X2", "X3")
     med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T", covariates=covariates)), m)
     out_spec = ModelSpec(response="Y", treatment="T", mediator="M", covariates=covariates, interaction=True)
-    out = fit_ols(build_design(data, out_spec), y)
+    out_design = build_design(data, out_spec)
     tracemalloc.start()
     try:
-        stack_fits(med, out)
-        stack_peak = tracemalloc.get_traced_memory()[1]
+        out = fit_ols(out_design, y)
+        fit_live, fit_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        stack_fits(med, out)
+        stack_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
         result = mediate(data, "T", "M", "Y", covariates, interaction=True, method="ols")
-        live, peak = tracemalloc.get_traced_memory()
+        live, peak = (v - before for v in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert not result.methods["ols"].failed
-    assert stack_peak < 8 * n
-    assert peak <= live + 8 * n * (out.design.p + 1)
+    designs = 8 * n * (med.design.p + out.design.p)
+    return stack_peak, fit_peak - fit_live, live - designs, peak - live
+
+
+def test_least_squares_path_holds_nothing_of_length_n_beyond_the_residuals():
+    # The fits keep their residuals, not their rows; fit_ols factorizes and
+    # stack_fits sums B over blocks of rows, so neither allocates more at
+    # four times n, and mediate's live set at return is its two designs and
+    # two residual vectors. Two fits' rows would add 14 n floats.
+    small, large = (least_squares_memory(n) for n in (20_000, 80_000))
+    stack_small, fit_small, _, mediate_small = small
+    stack_large, fit_large, _, mediate_large = large
+    assert stack_large <= stack_small + 64 * 1024
+    assert fit_large <= fit_small + 64 * 1024
+    assert mediate_large <= mediate_small + 64 * 1024
+    for n, (_, _, above_designs, _) in ((20_000, small), (80_000, large)):
+        assert above_designs <= 8 * 3 * n

@@ -26,6 +26,8 @@ from semimediation.inference import (
 from semimediation.simulation import ERROR_LAWS, ErrorSpec, ScenarioConfig, generate_interaction_dataset
 
 Z95 = 1.959963985
+# Rows per block in the block-edge cases of stack_fits and fit_ols.
+BLOCK_ROWS = 40
 
 
 def central_diff_jacobian(fn, x, step=1e-6):
@@ -184,7 +186,8 @@ class TestSandwichAndStacking:
             d1 = med.theta.size
             for fit, block in ((med, slice(0, d1)), (out, slice(d1, None))):
                 A_inv = np.linalg.inv(fit.jacobian_A)
-                B = fit.psi_values.T @ fit.psi_values / fit.n
+                psi = fit.rows()
+                B = psi.T @ psi / fit.n
                 own = A_inv @ B @ A_inv.T / fit.n
                 assert np.max(np.abs(stacked.cov[block, block] - own)) < 1e-10
 
@@ -192,11 +195,11 @@ class TestSandwichAndStacking:
         data = laplace_mediation_data
         med = fit_ols(build_design(data, ModelSpec(response="M", treatment="T")), data.column("M"))
         out = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), data.column("Y"))
-        psi = med.psi_values.copy()
-        psi[0, 0] = 1e200  # its square overflows B
+        e = med.residuals.copy()
+        e[0] = 1e200  # its square overflows the variance row and B
         # One fault, one error: the overflow is refused without a warning.
         with pytest.raises(InferenceError, match="not finite"):
-            stack_fits(dataclasses.replace(med, psi_values=psi), out)
+            stack_fits(dataclasses.replace(med, residuals=e), out)
 
     def test_cross_block_matches_empirical_cross_covariance(self):
         rng = np.random.default_rng(9)
@@ -210,7 +213,7 @@ class TestSandwichAndStacking:
         out = fit_ols(build_design(data, ModelSpec(response="Y", treatment="T", mediator="M")), y)
         st_fit = stack_fits(med, out)
         d1 = med.design.p + 1
-        psi = np.hstack([med.psi_values, out.psi_values])
+        psi = np.hstack([med.rows(), out.rows()])
         B_oracle = psi.T @ psi / n
         assert np.max(np.abs(st_fit.B - B_oracle)) < 1e-10
         assert np.max(np.abs(st_fit.B[:d1, d1:])) > 0.01
@@ -245,11 +248,20 @@ class TestSandwichAndStacking:
             rows = np.r_[blocks[i], blocks[j]]
             np.testing.assert_allclose(four.cov[np.ix_(rows, rows)], pair.cov, rtol=1e-12, atol=0.0)
 
-    def test_blocked_B_matches_the_stacked_rows(self, laplace_mediation_data):
-        # B is formed per pair of fits, never from the stacked rows: it agrees
-        # with their averaged outer product up to rounding, is exactly
-        # symmetric, and each pair's block in a larger stack is that pair's B.
+    @pytest.mark.parametrize(
+        "n", [None, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 1], ids=lambda n: f"n={n or 200}"
+    )
+    def test_blocked_B_matches_the_stacked_rows(self, laplace_mediation_data, monkeypatch, n):
+        # B is summed per pair of fits over blocks of rows, never from the
+        # stacked rows: it agrees with their averaged outer product up to
+        # rounding, is exactly symmetric, and each pair's block in a larger
+        # stack is that pair's B. With n given, the first n rows are fitted
+        # and every stack takes blocks of BLOCK_ROWS rows, so the last block
+        # is one row short, full, a single row, or a single row after three
+        # full blocks; the default budget puts all 200 rows in one block.
         data = laplace_mediation_data
+        if n is not None:
+            data = dataset_from_arrays(**{name: data.column(name)[:n] for name in data.column_names})
         fits = []
         for spec in (
             ModelSpec(response="M", treatment="T", covariates=("X1",)),
@@ -257,21 +269,36 @@ class TestSandwichAndStacking:
         ):
             ols = fit_ols(build_design(data, spec), data.column(spec.response))
             fits += [ols, fit_semiparametric(ols)]
+        assert all(isinstance(fit, estimators.RegressionFit) for fit in fits)
         med_ols, med_semi, out_ols, out_semi = fits
         four = (med_ols, out_ols, med_semi, out_semi)
+
+        def stacked_B(*stack):
+            if n is not None:
+                width = sum(fit.theta.size for fit in stack)
+                monkeypatch.setattr(estimators, "ROW_BLOCK_BYTES", 8 * width * BLOCK_ROWS)
+            return stack_fits(*stack).B
+
         for stack in ((med_ols,), (out_semi,), (med_ols, out_ols), (med_semi, out_ols), four):
-            B = stack_fits(*stack).B
-            rows = np.hstack([fit.psi_values for fit in stack])
+            B = stacked_B(*stack)
+            rows = np.hstack([fit.rows() for fit in stack])
             oracle = rows.T @ rows / data.n
-            assert np.max(np.abs(B - oracle) / np.abs(oracle)) <= 1e-13
+            # Summed in another order, an entry that cancels (the intercept
+            # moment sum e_i is zero at a least-squares fit) keeps only its
+            # rounding, so the blocked sums are held to the scale of what they
+            # add up; in one block every entry is held to itself as well.
+            scale = np.abs(rows).T @ np.abs(rows) / data.n
+            assert np.max(np.abs(B - oracle) / scale) <= 1e-13
+            if n is None:
+                assert np.max(np.abs(B - oracle) / np.abs(oracle)) <= 1e-13
             assert np.array_equal(B, B.T)
-        B4 = stack_fits(*four).B
+        B4 = stacked_B(*four)
         bounds = np.cumsum([0] + [fit.theta.size for fit in four])
         blocks = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         for i in range(4):
             for j in range(i + 1, 4):
                 rows = np.r_[blocks[i], blocks[j]]
-                assert np.array_equal(B4[np.ix_(rows, rows)], stack_fits(four[i], four[j]).B)
+                assert np.array_equal(B4[np.ix_(rows, rows)], stacked_B(four[i], four[j]))
 
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
         # Each fit makes one kernel-score pass per Newton evaluation and none

@@ -181,3 +181,21 @@ def test_bench_kernel_scaling_records_a_small_fit(tmp_path):
     assert blocked["block_bytes"] == 8000
     assert blocked["kernel_passes"] == record["kernel_passes"]
     np.testing.assert_allclose(blocked["semiparametric_estimates"], record["semiparametric_estimates"], rtol=1e-10)
+
+
+def test_memory_stages_reports_each_stage_of_a_small_run(tmp_path):
+    out = tmp_path / "stages.json"
+    proc = run_script("memory_stages.py", "--n", "2000", "--row-block-bytes", "4096", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["exit_status"] == 0 and record["n"] == 2000
+    assert record["row_block_bytes"] == 4096
+    stages = record["stages"]
+    assert [s["stage"] for s in stages] == [
+        "load_csv", "build_design", "build_design", "fit_ols", "fit_ols", "stack_fits", "build_mediate_report", "end",
+    ]  # fmt: skip
+    assert all(s["traced_peak_mib"] >= s["traced_live_mib"] > 0 for s in stages[:-1])
+    maxrss = [s["ru_maxrss_mb"] for s in stages]
+    assert maxrss == sorted(maxrss) and maxrss[0] > 0
+    assert proc.stdout.split()[:5] == ["stage", "ms", "peak", "MiB", "live"]
+    assert len(proc.stdout.splitlines()) == 1 + len(stages)
