@@ -22,29 +22,31 @@ least squares ``(x_ij * e_i, e_i^2 - sigma2)`` and the score equations as
 above. The sandwich covariance is formed once, over the stacked rows of both
 models, by ``inference.stack_fits``, block by block of rows; one constant,
 ``ROW_BLOCK_BYTES``, sizes the blocks of both that sum and the least-squares
-factorization (``row_blocks``). Every Jacobian is exact and
-closed-form: least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and
-one leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the rows,
-Newton's Jacobian (score re-estimated) and the frozen score's derivative as
-moment sums; ``A`` (score frozen) is formed from that derivative once per
-converged root (``frozen_score_jacobian``), not on every evaluation. The
-pass's n^2 work has one owner, ``_kernel_product``: it runs over row blocks
-of the kernel matrix in one reused buffer, so its memory is a fixed budget
-(``KERNEL_BLOCK_BYTES``) plus O(n p), never O(n^2). Each block takes three
-sweeps: the exponent as one rank-3 product of the mean-centred residuals,
-``exp``, and one product with [X, a X, a^2 X, a^3] whose binomial expansion
-gives every moment sum. The rest of a pass is O(n p) bookkeeping, held
-transposed so that each elementwise step runs along n; points below the
+factorization (``row_blocks``). Every Jacobian is exact and closed-form:
+least squares gives ``[[-X'X/n, 0], [-2 mean(e x)', -1]]``, and one
+leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the equations'
+means, Newton's Jacobian (score re-estimated) and the frozen score's
+derivative as moment sums; ``A`` (score frozen) is formed from that
+derivative once per converged root (``frozen_score_jacobian``), not on every
+evaluation. The pass's n^2 work has one owner, ``_kernel_product``: it runs
+over row blocks of the kernel matrix in one reused buffer, so its memory is a
+fixed budget (``KERNEL_BLOCK_BYTES``) plus O(n p), never O(n^2). Each block
+takes three sweeps: the exponent as one rank-3 product of the mean-centred
+residuals, ``exp``, and one product with [X, a X, a^2 X, a^3] whose binomial
+expansion gives every moment sum. The rest of a pass is O(n p) bookkeeping,
+held transposed so that each elementwise step runs along n; points below the
 density floor copy the nearest dense point, found by a sorted search. That
 search and the fix-ups for clipped scores run only when such points exist,
 and what depends on the design alone (its centred regressors and column
 means) is computed once per design.
 ``fit_semiparametric`` reads its design and response from the least-squares
 fit that seeds its starts and builds the fallback starts only once the
-least-squares start fails. Newton hands back the rows and the frozen
-derivative of its evaluation at the root together with the root, so no
-kernel pass follows the solve; the root's residuals and centred score are
-all the fit keeps of it.
+least-squares start fails. Newton works on the equations' means alone, so
+no evaluation forms rows; it hands back the Jacobian and the residuals,
+centred score and frozen derivative of its evaluation at the root together
+with the root, so no kernel pass follows the solve. The fit keeps the
+residuals and centred score, and its rows are formed once, for the
+sandwich's B.
 """
 
 from __future__ import annotations
@@ -152,11 +154,13 @@ class FitFailure:
 class NewtonResult:
     """Where a Newton run ended, and how: ``reason`` is None if it converged.
 
-    ``extra`` is the third output of the function's evaluation at ``root``,
-    whether or not the run converged.
+    ``jacobian`` and ``extra`` are the second and third outputs of the
+    function's evaluation at ``root``, whether or not the run converged; both
+    are None when the function raised at the start.
     """
 
     root: np.ndarray
+    jacobian: np.ndarray | None
     extra: Any
     iterations: int
     residual_norm: float
@@ -475,12 +479,11 @@ def semiparam_psi(
     design: DesignMatrix,
     response: np.ndarray,
     theta: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive-score estimating-function rows at one parameter vector
-    theta = (beta, sigma2), with the Jacobian of their mean for Newton (J),
-    the frozen score's derivative from which ``frozen_score_jacobian``
-    forms the sandwich's (A), and the centred score from which the slope
-    rows are formed.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Mean of the adaptive-score estimating equations at one parameter vector
+    theta = (beta, sigma2), with its Jacobian for Newton: ``(F, J,
+    (residuals, centred_score, ds_frozen))``, the triple ``newton_root``
+    takes.
 
     The score is re-estimated from the current residuals on every call, so the
     system stays fully implicit in (beta, sigma2): intercept row e_i, slope
@@ -490,28 +493,33 @@ def semiparam_psi(
     the downstream sandwich. The bandwidth is Silverman's, 1.06 sd n^(-1/5),
     taken from the centred residuals that ``dh`` needs as well.
 
+    F, of length p + 1, is those rows' mean formed as moments, and no row is
+    formed: the residual mean (which the centring computes anyway), the
+    centred regressors times the centred score over n, and e'e / n - sigma2.
+    It equals the mean of ``estimating_rows`` of the residuals and centred
+    score up to rounding.
+
     ``J`` differentiates the re-estimated score, bandwidth included
     (dh/dbeta = -h X'(e - ebar) / sum((e - ebar)^2)); Newton solves with it.
     ``ds_frozen``, n x p, is d score / d beta with the score function (data
     points, bandwidth, centering constant) frozen at this point, so only the
-    evaluation points move. Rows, J, ``ds_frozen`` and the centred score
-    all come from one kernel pass; ``A`` is read only at an accepted root,
-    so it is formed there, once. The rows are ``estimating_rows`` of the
-    residuals and the centred score.
+    evaluation points move. F, J, ``ds_frozen`` and the centred score all
+    come from one kernel pass; ``A`` is read only at an accepted root, so
+    ``frozen_score_jacobian`` forms it there, once, from J and ``ds_frozen``.
     """
     beta, sigma2 = theta[:-1], theta[-1]
     if sigma2 <= 0.0:
         raise EstimationError("sigma2 must be positive")
     X = design.values
-    y = np.asarray(response, dtype=float)
-    e = y - X @ beta
+    e = response - X @ beta
     n, p = X.shape
     if n < 10:
         raise EstimationError(f"need at least 10 residuals for score estimation (got {n})")
     if not np.isfinite(e).all():
         raise EstimationError("residuals contain non-finite values")
     # np.add.reduce(x) / n is what x.mean() computes, without its dispatch.
-    dev = e - np.add.reduce(e) / n
+    ebar = np.add.reduce(e) / n
+    dev = e - ebar
     h = silverman_bandwidth(dev)
     dh = -h * (dev @ X) / (dev @ dev)
     s, ds_newton, ds_frozen = _kernel_score(e, dev, h, design.transposed, dh)
@@ -525,13 +533,13 @@ def semiparam_psi(
     # centered regressor moments, or the covariance is inconsistent. For the
     # same reason the score's centering constant drops out of both Jacobians.
     centred_score = s - np.add.reduce(s) / n
-    psi = estimating_rows(design, e, sigma2, centred_score)
+    F = np.concatenate(([ebar], design.centered_regressors.T @ centred_score / n, [(e @ e) / n - sigma2]))
     J = np.zeros((p + 1, p + 1))
     J[0, :p] = -design.column_means
     J[p, :p] = -2.0 * (e @ X) / n
     J[p, p] = -1.0
     J[1:p, :p] = design.centered_regressors.T @ ds_newton / n
-    return psi, J, ds_frozen, centred_score
+    return F, J, (e, centred_score, ds_frozen)
 
 
 def frozen_score_jacobian(design: DesignMatrix, J: np.ndarray, ds_frozen: np.ndarray) -> np.ndarray:
@@ -561,54 +569,61 @@ def newton_root(
     damped step norm below 1e-10 with the sup-norm at most 1e-6; a tiny step
     at a larger residual is no root, and the run "stalled". Each step is
     halved up to 10 times seeking a decrease in ||F||_inf, and the Jacobian
-    and extra of the accepted trial point serve the next step. A singular
-    Jacobian or non-finite values end the run as a failure. The result's
-    ``extra`` is always that of the evaluation at its ``root``.
+    and extra of the accepted trial point serve the next step. A point where
+    F raises :class:`EstimationError` counts as one where its value is not
+    finite, so the line search halves past it. A singular Jacobian or
+    non-finite values end the run as a failure; when no finite value is left
+    to take, the reason is the exception's message of the last point tried,
+    or "non-finite function value" if F returned one, with " at start" if
+    that point is ``x0``. The result's ``jacobian`` and ``extra`` are always
+    those of the evaluation at its ``root``.
     """
+
+    def evaluate(x: np.ndarray) -> tuple[Any, Any, Any, float, str]:
+        """F at x, its sup-norm (NaN or inf exactly when some value is), and why that norm is not finite if it is not."""
+        try:
+            fx, J, extra = F(x)
+        except EstimationError as exc:
+            return None, None, None, math.inf, str(exc)
+        return fx, J, extra, float(np.abs(fx).max()), "non-finite function value"
+
     x = np.asarray(x0, dtype=float).copy()
-    fx, J, extra = F(x)
-    # The sup-norm is NaN or inf exactly when some value is.
-    norm = float(np.abs(fx).max())
+    fx, J, extra, norm, why = evaluate(x)
     if not math.isfinite(norm):
-        return NewtonResult(x, extra, 0, float("inf"), "non-finite function value at start")
+        return NewtonResult(x, J, extra, 0, math.inf, f"{why} at start")
     if norm < NEWTON_RESIDUAL_TOL:
-        return NewtonResult(x, extra, 0, norm)
+        return NewtonResult(x, J, extra, 0, norm)
 
     for iteration in range(1, MAX_NEWTON_ITERATIONS + 1):
         if not np.isfinite(J).all():
-            return NewtonResult(x, extra, iteration, norm, "non-finite jacobian")
+            return NewtonResult(x, J, extra, iteration, norm, "non-finite jacobian")
         try:
             dx = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
-            return NewtonResult(x, extra, iteration, norm, "singular jacobian")
+            return NewtonResult(x, J, extra, iteration, norm, "singular jacobian")
         if not np.isfinite(dx).all():
-            return NewtonResult(x, extra, iteration, norm, "singular jacobian")
+            return NewtonResult(x, J, extra, iteration, norm, "singular jacobian")
 
-        # Step-halving line search on ||F||_inf; if no halving finds a
-        # decrease, the smallest step is taken and the step-norm criterion
-        # or the iteration cap ends the run.
-        t = 1.0
-        x_new = x + dx
-        f_new, J_new, extra_new = F(x_new)
-        new_norm = float(np.abs(f_new).max())
-        for _ in range(MAX_STEP_HALVINGS):
+        # Step-halving line search on ||F||_inf: the full step (1.0 * dx is
+        # dx exactly), then halvings; if none finds a decrease, the smallest
+        # step is taken and the step-norm criterion or the iteration cap ends
+        # the run.
+        for k in range(MAX_STEP_HALVINGS + 1):
+            x_new = x + 0.5**k * dx
+            f_new, J_new, extra_new, new_norm, why = evaluate(x_new)
             if new_norm < norm:  # a NaN or inf norm fails this too
                 break
-            t /= 2.0
-            x_new = x + t * dx
-            f_new, J_new, extra_new = F(x_new)
-            new_norm = float(np.abs(f_new).max())
         if not math.isfinite(new_norm):
-            return NewtonResult(x, extra, iteration, norm, "non-finite function value")
+            return NewtonResult(x, J, extra, iteration, norm, why)
 
-        step_norm = float(np.linalg.norm(t * dx))
+        step_norm = float(np.linalg.norm(0.5**k * dx))
         x, fx, J, extra, norm = x_new, f_new, J_new, extra_new, new_norm
         if norm < NEWTON_RESIDUAL_TOL or (step_norm < NEWTON_STEP_TOL and norm <= ACCEPT_PSI_MEAN_TOL):
-            return NewtonResult(x, extra, iteration, norm)
+            return NewtonResult(x, J, extra, iteration, norm)
         if step_norm < NEWTON_STEP_TOL:
-            return NewtonResult(x, extra, iteration, norm, f"stalled with residual norm {norm:.3g}")
+            return NewtonResult(x, J, extra, iteration, norm, f"stalled with residual norm {norm:.3g}")
 
-    return NewtonResult(x, extra, MAX_NEWTON_ITERATIONS, norm, "maximum iterations reached")
+    return NewtonResult(x, J, extra, MAX_NEWTON_ITERATIONS, norm, "maximum iterations reached")
 
 
 def make_starts(ols: RegressionFit) -> np.ndarray:
@@ -634,9 +649,9 @@ def screen_root(
 ) -> str | None:
     """The first plausibility rule a converged root breaks, or None if it breaks none.
 
-    ``theta`` must be a root at which ``semiparam_psi`` evaluated to finite
-    rows: Newton holds only such points, and the rows are finite only when
-    beta is finite and 0 < sigma2 < inf. So no rule here checks finiteness or
+    ``theta`` must be a root at which ``semiparam_psi`` evaluated to a
+    finite F: Newton holds only such points, and F is finite only when beta
+    is finite and 0 < sigma2 < inf. So no rule here checks finiteness or
     the sign of the variance.
 
     A root that passes is one whose sandwich is finite: the variance-ratio
@@ -666,8 +681,9 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     neither is returned with its residuals, centred score and sandwich
     ``A``, and if none is, a :class:`FitFailure` records the reasons, one per
     start. Needs n >= p + 10 so the residual score estimate has something to
-    work with. The root's evaluation comes with it from Newton, as its extra
-    value, and ``A`` is formed from it once per converged root.
+    work with. Newton runs on ``semiparam_psi`` itself; the root's Jacobian
+    and the rest of its evaluation come back with it, and ``A`` is formed
+    from them once per converged root.
     """
     if ols.method != "ols":
         raise EstimationError(f"ols must be a least-squares fit, not a {ols.method} fit")
@@ -675,15 +691,6 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
     n, p = design.values.shape
     if n < p + 10:
         raise EstimationError(f"need n >= p + 10 for score estimation (n={n}, p={p})")
-    dim = p + 1
-
-    def mean_psi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
-        try:
-            evaluation = semiparam_psi(design, y, v)
-        except EstimationError:
-            return np.full(dim, np.nan), np.full((dim, dim), np.nan), None
-        # np.add.reduce(psi, 0) / n is what psi.mean(axis=0) computes.
-        return np.add.reduce(evaluation[0], 0) / n, evaluation[1], evaluation
 
     def starts() -> Iterator[np.ndarray]:
         yield ols.theta
@@ -691,11 +698,11 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     reasons: list[str] = []
     for idx, start in enumerate(starts()):
-        result = newton_root(mean_psi, start)
+        result = newton_root(lambda v: semiparam_psi(design, y, v), start)
         reason = result.reason
         if reason is None:
-            psi, J, ds_frozen, centred_score = result.extra
-            A = frozen_score_jacobian(design, J, ds_frozen)
+            residuals, centred_score, ds_frozen = result.extra
+            A = frozen_score_jacobian(design, result.jacobian, ds_frozen)
             rcond = reciprocal_condition(A)
             reason = screen_root(result.root, rcond, ols)
         if reason is None:
@@ -706,7 +713,6 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
                 rcond=rcond,
                 screened_reasons=tuple(reasons),
             )
-            # The intercept row is the residuals.
-            return RegressionFit(result.root, "semiparametric", psi[:, 0].copy(), centred_score, A, diag, design, y)
+            return RegressionFit(result.root, "semiparametric", residuals, centred_score, A, diag, design, y)
         reasons.append(f"start {idx}: {reason}")
     return FitFailure(tuple(reasons))

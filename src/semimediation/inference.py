@@ -353,7 +353,8 @@ def mediate(
     med_ols = fit_ols(med_design, dataset.column(mediator))
     out_ols = fit_ols(out_design, dataset.column(outcome))
     idx = _index_map(med_design, out_design)
-    xbar = np.array([dataset.column(c).mean() for c in covariates])
+    # The covariate means are the mediator design's, computed once with it.
+    xbar = med_design.column_means[list(med_design.covariate_indices())]
 
     results: dict[str, MethodResult] = {}
     for m in wanted:

@@ -13,6 +13,7 @@ from semimediation.estimators import (
     EstimationError,
     FitFailure,
     RegressionFit,
+    estimating_rows,
     fit_ols,
     fit_semiparametric,
     frozen_score_jacobian,
@@ -177,10 +178,16 @@ def kernel_pass(e, h, X, dh):
     return estimators._kernel_score(e, e - e.mean(), h, np.ascontiguousarray(X.T), dh)
 
 
+def evaluation_rows(design, y, point):
+    """The estimating rows of ``semiparam_psi``'s evaluation at one point: ``estimating_rows`` of its residuals and centred score."""
+    _, _, (e, centred_score, _) = semiparam_psi(design, y, point)
+    return estimating_rows(design, e, point[-1], centred_score)
+
+
 def psi_rows_J_A(design, y, point):
-    """``semiparam_psi``'s rows and J at one point, with the sandwich A formed from the same evaluation."""
-    psi, J, ds_frozen, _ = semiparam_psi(design, y, point)
-    return psi, J, frozen_score_jacobian(design, J, ds_frozen)
+    """The rows and J of ``semiparam_psi``'s evaluation at one point, with the sandwich A formed from the same evaluation."""
+    _, J, (e, centred_score, ds_frozen) = semiparam_psi(design, y, point)
+    return estimating_rows(design, e, point[-1], centred_score), J, frozen_score_jacobian(design, J, ds_frozen)
 
 
 def kernel_score(e):
@@ -351,7 +358,7 @@ class TestSemiparamPsi:
         y = 0.3 + t + rng.standard_normal(60)
         design, resp = simple_design(t, y)
         ols = fit_ols(design, resp)
-        psi, *_ = semiparam_psi(design, resp, ols.theta)
+        psi = evaluation_rows(design, resp, ols.theta)
         assert abs(psi[:, 0].mean()) < 1e-10
 
     def test_matches_direct_oracle(self):
@@ -365,7 +372,7 @@ class TestSemiparamPsi:
         # Blocks of one row, of 7 rows (a block edge inside the data) and of all rows.
         for rows in (1, 7, y.size):
             with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(y.size, rows)):
-                psi, *_ = semiparam_psi(design, y, point)
+                psi = evaluation_rows(design, y, point)
             assert np.max(np.abs(psi - oracle)) < 1e-8
 
     def test_score_values_centered(self):
@@ -374,7 +381,7 @@ class TestSemiparamPsi:
         y = t + rng.laplace(size=50)
         design, resp = simple_design(t, y)
         fit = fit_ols(design, resp)
-        psi, *_ = semiparam_psi(design, resp, fit.theta)
+        psi = evaluation_rows(design, resp, fit.theta)
         x_centered = t - t.mean()
         assert abs((psi[:, 1] / x_centered).mean()) < 1e-12
 
@@ -382,6 +389,34 @@ class TestSemiparamPsi:
         design, resp = simple_design(np.array([0.0, 1] * 10), np.arange(20.0))
         with pytest.raises(EstimationError, match="sigma2"):
             semiparam_psi(design, resp, np.zeros(3))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 200),
+        law=st.sampled_from(ERROR_LAWS),
+        interaction=st.booleans(),
+        covariates=st.sampled_from([0, 2]),
+        shift=st.floats(-0.3, 0.3),
+        scale=st.floats(0.5, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_F_is_the_mean_of_the_evaluations_rows(self, seed, n, law, interaction, covariates, shift, scale):
+        # F is formed as moments, never from rows; the rows of the same
+        # evaluation, summed, must give it back up to rounding.
+        rng = np.random.default_rng(seed)
+        cols = {f"X{k}": rng.standard_normal(n) for k in range(covariates)}
+        t = (rng.random(n) < 0.5).astype(float)
+        m = 0.2 + 0.4 * t + sample_error(ErrorSpec(law), rng, n)
+        y = 0.5 * t - 0.8 * m + sum(cols.values(), np.zeros(n)) + sample_error(ErrorSpec(law), rng, n)
+        ds = dataset_from_arrays(T=t, M=m, Y=y, **cols)
+        spec = ModelSpec(response="Y", treatment="T", mediator="M", covariates=tuple(cols), interaction=interaction)
+        design = build_design(ds, spec)
+        ols = fit_ols(design, y)
+        point = np.append(ols.theta[:-1] + shift, scale * ols.theta[-1])
+        F, _, (e, centred_score, _) = semiparam_psi(design, y, point)
+        rows = estimating_rows(design, e, point[-1], centred_score)
+        assert F.shape == (design.p + 1,)
+        assert np.all(np.abs(F - np.add.reduce(rows, 0) / n) <= 1e-13 * np.abs(rows).mean(axis=0))
 
 
 class TestNewtonRoot:
@@ -450,7 +485,50 @@ class TestNewtonRoot:
         assert res.root[0] == pytest.approx(2.0, abs=1e-8)
         assert len(points) == len(set(points))
 
-    def test_extra_comes_from_the_root(self, monkeypatch):
+    def test_raise_at_start_names_the_message(self):
+        def F(x):
+            raise EstimationError("boom")
+
+        res = newton_root(F, np.array([0.0]))
+        assert res.reason == "boom at start"
+        assert (res.iterations, res.residual_norm, res.jacobian, res.extra) == (0, math.inf, None, None)
+
+    def test_raise_on_the_full_step_is_halved_past(self):
+        # The full step from 0 lands on 4, where F raises; the half step
+        # lands on the root 2.
+        points = []
+
+        def F(x):
+            points.append(float(x[0]))
+            if x[0] > 3.0:
+                raise EstimationError("boom")
+            return np.array([x[0] - 2.0]), np.array([[0.5]]), None
+
+        res = newton_root(F, np.array([0.0]))
+        assert res.reason is None
+        assert res.root[0] == 2.0
+        assert points == [0.0, 4.0, 2.0]
+
+    def test_raise_at_every_trial_point_names_the_message(self):
+        # Finite only at the start: the full step and all ten halvings raise,
+        # so the run ends at its start with the last trial point's message.
+        def F(x):
+            if x[0] != 0.0:
+                raise EstimationError(f"boom at {x[0]:g}")
+            return np.array([x[0] - 1e4]), np.eye(1), None
+
+        res = newton_root(F, np.array([0.0]))
+        assert res.reason == f"boom at {1e4 / 1024:g}"
+        assert (res.root[0], res.iterations, res.residual_norm) == (0.0, 1, 1e4)
+
+    def test_other_exceptions_propagate(self):
+        def F(x):
+            raise TypeError("a programming error, not a numerical failure")
+
+        with pytest.raises(TypeError):
+            newton_root(F, np.array([0.0]))
+
+    def test_jacobian_and_extra_come_from_the_root(self, monkeypatch):
         monkeypatch.setattr(estimators, "MAX_NEWTON_ITERATIONS", 5)
 
         def with_extra(f, J):
@@ -469,6 +547,9 @@ class TestNewtonRoot:
         assert blown_up.reason == "non-finite function value"
         for res in (converged, capped, blown_up):
             assert np.array_equal(res.extra, res.root)
+        assert np.array_equal(converged.jacobian, np.diag(3.0 * converged.root**2))
+        assert np.array_equal(capped.jacobian, np.diag(2.0 * capped.root))
+        assert np.array_equal(blown_up.jacobian, np.eye(1))
 
     @given(
         a=st.floats(-5.0, 5.0),
@@ -701,8 +782,8 @@ class TestFitSemiparametric:
         e = y - design.values @ fit.theta[:-1]
         clamped, clipped = loo_kernel_branches(e, estimators.silverman_bandwidth(e - e.mean()), floor_rel, clip_over_h)
         assert (clamped > 0, clipped > 0) == (branches, branches)
-        psi, J, ds_frozen, _ = semiparam_psi(design, y, fit.theta)
-        assert fit.rows().tobytes() == psi.tobytes()
+        _, J, (e_root, centred_score, ds_frozen) = semiparam_psi(design, y, fit.theta)
+        assert fit.rows().tobytes() == estimating_rows(design, e_root, fit.theta[-1], centred_score).tobytes()
         assert fit.jacobian_A.tobytes() == frozen_score_jacobian(design, J, ds_frozen).tobytes()
 
     def test_A_is_formed_once_per_screened_root_not_per_evaluation(self, monkeypatch):
@@ -733,7 +814,7 @@ class TestFitSemiparametric:
         def fail_two_starts(F, x0):
             received.append(np.array(x0, dtype=float))
             if len(received) <= 2:
-                return estimators.NewtonResult(received[-1], None, 1, 1.0, "forced")
+                return estimators.NewtonResult(received[-1], None, None, 1, 1.0, "forced")
             return real_newton_root(F, x0)
 
         monkeypatch.setattr(estimators, "newton_root", fail_two_starts)
@@ -742,6 +823,27 @@ class TestFitSemiparametric:
         assert fit.diagnostics.start_index_used == 2
         assert fit.diagnostics.screened_reasons == ("start 0: forced", "start 1: forced")
         assert [x0.tobytes() for x0 in received] == [row.tobytes() for row in make_starts(ols)[:3]]
+
+    def test_no_rows_are_formed_during_the_fit(self):
+        # Newton works on the equations' means; rows are formed only for B.
+        design, y = law_design(ASYMMETRIC_MIXTURE, 0)
+        ols = fit_ols(design, y)
+        with mock.patch.object(estimators, "estimating_rows", wraps=estimating_rows) as form_rows:
+            fit = fit_semiparametric(ols)
+        assert isinstance(fit, RegressionFit)
+        assert form_rows.call_count == 0
+
+    def test_an_evaluation_that_raises_names_its_message_for_every_start(self, monkeypatch):
+        design, y = law_design(ASYMMETRIC_MIXTURE, 0)
+        ols = fit_ols(design, y)
+
+        def degenerate(*args):
+            raise EstimationError("degenerate density estimate")
+
+        monkeypatch.setattr(estimators, "semiparam_psi", degenerate)
+        res = fit_semiparametric(ols)
+        assert isinstance(res, FitFailure)
+        assert res.reasons == tuple(f"start {i}: degenerate density estimate at start" for i in range(5))
 
     def test_semiparametric_fit_as_ols_rejected(self):
         rng = np.random.default_rng(14)
@@ -849,7 +951,7 @@ class TestExactJacobians:
     @staticmethod
     def newton_oracle(design, y, point):
         return central_diff(
-            lambda v: semiparam_psi(design, y, v)[0].mean(axis=0),
+            lambda v: evaluation_rows(design, y, v).mean(axis=0),
             point,
         )
 

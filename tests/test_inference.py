@@ -302,8 +302,8 @@ class TestSandwichAndStacking:
 
     def test_kernel_passes(self, laplace_mediation_data, monkeypatch):
         # Each fit makes one kernel-score pass per Newton evaluation and none
-        # after it: the rows and A at the root come with Newton's result.
-        # Stacking makes none.
+        # after it: what the root's A and rows need comes with Newton's
+        # result. Stacking makes none.
         calls = {"passes": 0, "psi": 0}
         kernel_score, semiparam_psi = estimators._kernel_score, estimators.semiparam_psi
 
@@ -449,6 +449,18 @@ class TestMediate:
             v = res.effects(method).values
             assert abs(v[4] - (v[1] + v[2])) <= 1e-12
             assert abs(v[4] - (v[0] + v[3])) <= 1e-12
+
+    def test_xbar_is_the_mediator_designs_covariate_means(self):
+        # Columns as strided views of one row-major matrix, as load_csv lays
+        # them out, and covariates out of their column order.
+        rng = np.random.default_rng(21)
+        table = rng.standard_normal((200, 5)) + [0.0, 0.0, 0.0, 3.0, -7.0]
+        table[:, 0] = rng.random(200) < 0.5
+        data = dataset_from_arrays(**{name: table[:, j] for j, name in enumerate(("T", "M", "Y", "X1", "X2"))})
+        res = mediate(data, "T", "M", "Y", covariates=("X2", "X1"), method="ols")
+        design = build_design(data, ModelSpec(response="M", treatment="T", covariates=("X2", "X1")))
+        assert res.xbar.tobytes() == design.column_means[2:].tobytes()
+        assert res.xbar.tobytes() == res.methods["ols"].mediator_fit.design.column_means[2:].tobytes()
 
     def test_no_interaction_matches_g0_of_fitted_coefficients(self, laplace_mediation_data):
         res = mediate(laplace_mediation_data, "T", "M", "Y", covariates=("X1",), interaction=False, method="ols")

@@ -85,3 +85,25 @@ def test_traced_mediate_records_one_effects_span_per_successful_method():
     assert succeeded == ["ols", "semiparametric"]
     assert sum(1 for s in tracer.spans if s.name == "inference.effects_from_stacked") == len(succeeded)
     assert TRACING_MODULE.layer_metrics(tracer.spans, workers=1)["inference.effects_from_stacked.ms"] > 0
+
+
+def test_traced_newton_counts_match_the_fits_diagnostics():
+    # The benchmark's Newton and fit counts read NewtonResult.iterations and
+    # a fit's diagnostics.start_index_used; a change to either would
+    # otherwise surface only when the benchmark runs.
+    rng = np.random.default_rng(3)
+    n = 60
+    t = (rng.random(n) < 0.5).astype(float)
+    m = 0.5 * t + rng.laplace(size=n)
+    y = 0.3 * t + 0.6 * m + rng.laplace(size=n)
+    data = dataset_from_arrays(T=t, M=m, Y=y)
+    tracer = TRACING_MODULE.Tracer()
+    with tracer.installed():
+        res = mediate(data, treatment="T", mediator="M", outcome="Y", method="both")
+    metrics = TRACING_MODULE.layer_metrics(tracer.spans, workers=1)
+    semi = res.methods["semiparametric"]
+    fits = (semi.mediator_fit, semi.outcome_fit)
+    assert [fit.diagnostics.start_index_used for fit in fits] == [0, 0]
+    assert metrics["estimators.newton_root.calls"] == 2
+    assert metrics["estimators.newton_root.iterations"] == sum(fit.diagnostics.iterations for fit in fits)
+    assert metrics["estimators.fit_semiparametric.start_0"] == 2
