@@ -88,7 +88,7 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     parser.add_argument("--n", type=int, nargs="+", default=[3000, 10000, 20000])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--block-bytes", type=int, default=0, help="KERNEL_BLOCK_BYTES in the child (0: the tree's own)")
+    parser.add_argument("--block-bytes", type=int, default=0, help="KERNEL_BLOCK_BYTES in the child, the bytes of one square kernel block (0: the tree's own)")
     parser.add_argument("--out", type=Path, help="write the records as JSON here as well")
     args = parser.parse_args()
 

@@ -11,7 +11,11 @@ workload the runs' correctness, attempted and failed counts, seeds and
 ``acme0_len_ratio``, and for each end-to-end metric of ``BENCHMARK.json``
 the per-pair values of both sides, their quartiles (q25, median, q75, linear
 interpolation), the number of pairs in which the change is better in the
-metric's declared direction, and the relative change of the median::
+metric's declared direction, and the relative change of the median. Each
+run's mean call time, taken from the ``call_ms`` samples of its ``info:``
+line, is recorded beside them with its quartiles per side: the median call
+hides a round in which one slow fit, such as a Newton run that reaches its
+iteration cap, takes seconds::
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload mc_gate_n300 --pairs 10 --seed-base 2511 --out pairs.json
@@ -43,12 +47,14 @@ def parse_run(stdout: str) -> dict:
             result = json.loads(line)
     if result is None:
         raise ValueError("no result line in the benchmark's output")
+    samples = info.get("call_ms")
     return {
         "correct": bool(result["correct"]),
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "acme0_len_ratio": info.get("acme0_len_ratio"),
+        "call_ms_mean": statistics.fmean(samples) if samples else None,
     }
 
 
@@ -71,6 +77,12 @@ def summarize(runs: dict[str, list[dict]], seeds: list[int], declared: list[dict
         "metrics": {},
         "acme0_len_ratio": {side: [r["acme0_len_ratio"] for r in runs[side]] for side in SIDES},
     }
+    means = {side: [r["call_ms_mean"] for r in runs[side]] for side in SIDES}
+    if None not in means["parent"] + means["change"]:
+        summary["call_ms_mean"] = {}
+        for side in SIDES:
+            summary["call_ms_mean"][f"{side}_runs"] = [round(v, 4) for v in means[side]]
+            summary["call_ms_mean"][f"{side}_q25_median_q75"] = quartiles(means[side])
     for metric in declared:
         name = metric["name"]
         if not all(name in r["metrics"] for side in SIDES for r in runs[side]):

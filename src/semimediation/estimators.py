@@ -28,13 +28,16 @@ leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the equations'
 means, Newton's Jacobian (score re-estimated) and the frozen score's
 derivative as moment sums; ``A`` (score frozen) is formed from that
 derivative once per converged root (``frozen_score_jacobian``), not on every
-evaluation. The pass's n^2 work has one owner, ``_kernel_product``: it runs
-over row blocks of the kernel matrix in one reused buffer, so its memory is a
-fixed budget (``KERNEL_BLOCK_BYTES``) plus O(n p), never O(n^2). Each block
-takes three sweeps: the exponent as one rank-3 product of the mean-centred
-residuals, ``exp``, and one product with [X, a X, a^2 X, a^3] whose binomial
-expansion gives every moment sum. The rest of a pass is O(n p) bookkeeping,
-held transposed so that each elementwise step runs along n; points below the
+evaluation. The pass's n^2 work has one owner, ``_kernel_product``: the
+kernel matrix is symmetric, so it forms each square block on or above the
+diagonal once, in one reused buffer, and applies an off-diagonal block from
+both sides; its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
+O(n p), never O(n^2). Each block takes the exponent as one rank-3 product of
+the mean-centred residuals and ``exp``, then one or two products with
+[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum. The
+product comes back transposed, (3p + 1) x n, and the rest of a pass is
+O(n p) bookkeeping in that layout, so that each elementwise step runs along
+n and no step copies it into another; points below the
 density floor copy the nearest dense point, found by a sorted search. That
 search and the fix-ups for clipped scores run only when such points exist,
 and what depends on the design alone (its centred regressors and column
@@ -79,13 +82,15 @@ COEF_OLS_DEV_MAX = 15.0
 # bandwidth-scaled cap applied to the final score values.
 DENSITY_FLOOR_REL = 1e-3
 SCORE_CLIP_OVER_H = 10.0
-# Memory for the kernel pass's row-block buffer, about one core's L2: up to
-# n of about 512 the pass is a single block. Of budgets from 0.5 to 32 MiB
-# this was the fastest at n = 20 000 for the earlier two-buffer pass, on a
-# 2-vCPU VM with 2 MiB of L2 per core (32 MiB took 1.5 times as long); for
-# the one-buffer pass neither 1 nor 4 MiB was faster in every run at
-# n = 3000 to 20 000.
-KERNEL_BLOCK_BYTES = 2 * 1024 * 1024
+# Memory for the kernel pass's one square block of K: a block's side is at
+# most sqrt(KERNEL_BLOCK_BYTES / 8) = 256 and at most half of n, so up to
+# n = 512 the pass forms two diagonal blocks and one off-diagonal block. Of
+# 256 KiB, 512 KiB, 1 MiB and 2 MiB (sides 181, 256, 362 and 512), 512 KiB
+# made the pass fastest at n = 1000, 3000 and 10 000 (10 000: 131, 139, 156
+# and 172 ms, one BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU
+# VM), and the two smaller budgets kept peak RSS below the earlier row-block
+# pass's at 2 MiB in scripts/bench_kernel_scaling.py.
+KERNEL_BLOCK_BYTES = 512 * 1024
 # Memory for one block of rows on the least-squares path: the rows of [X | y]
 # that one QR step takes in, and the stacked estimating rows from which one
 # step of B is summed. Read by row_blocks alone; at p = 7 a fit of up to
@@ -296,27 +301,36 @@ def fit_ols(design: DesignMatrix, response: np.ndarray) -> RegressionFit:
 
 
 def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
-    """K @ [X, a X, a^2 X, a^3] for K_ik = exp(-(a_i - a_k)^2 / 2) with K_ii = 0.
+    """[X, a X, a^2 X, a^3]^T K for K_ik = exp(-(a_i - a_k)^2 / 2) with K_ii = 0, a (3p + 1) x n array.
 
     ``Xt`` is X transposed. This is the kernel pass's only n^2 work and the
-    only reader of ``KERNEL_BLOCK_BYTES``: K is formed in blocks of
-    ``KERNEL_BLOCK_BYTES`` // (8 n) rows, at least one, in one reused buffer
-    of at most max(``KERNEL_BLOCK_BYTES``, 8 n) bytes. Each block takes three
-    sweeps: the exponent -(a_i - a_k)^2 / 2 = a_i a_k - a_i^2 / 2 - a_k^2 / 2
-    as one rank-3 product, ``exp`` in place with the diagonal zeroed, and one
-    product with [X, a X, a^2 X, a^3]. The buffer and the product's operands
-    are freed on return, so only the n x (3p + 1) result outlives the call.
+    only reader of ``KERNEL_BLOCK_BYTES``. K is symmetric, so it is cut into
+    square blocks of side m = min(ceil(n / 2), floor(sqrt(``KERNEL_BLOCK_BYTES``
+    / 8))), at least one, and only the blocks (I, J) with I <= J are formed,
+    each once, in one reused buffer of at most max(``KERNEL_BLOCK_BYTES``, 8)
+    bytes. A block takes the exponent -(a_i - a_k)^2 / 2 = a_i a_k - a_i^2 /
+    2 - a_k^2 / 2 as one rank-3 product and ``exp`` in place, with the
+    diagonal zeroed on diagonal blocks. An off-diagonal block is then applied
+    from both sides: P_J K_IJ^T adds to columns I and P_I K_IJ to columns J,
+    where P is the operand [X, a X, a^2 X, a^3] transposed, (3p + 1) x n. So a
+    pair of points in different blocks takes one exponent and one ``exp``,
+    and only the diagonal blocks form both K_ik and K_ki: at n = 300 that is
+    three quarters of the full matrix's work, at large n about half. The
+    buffer and the operand are freed on return, so only the result outlives
+    the call.
 
-    The product keeps its 3p + 1 columns and its n x (3p + 1) layout. Two
-    other layouts were timed in whole gate rounds, alternating with this one
-    (mc_gate_n300, 2-vCPU VM, OpenBLAS 0.3.31), and neither pays for moving
-    the fitted numbers. Zero columns padding the operand to a multiple of
-    four change the last bits of the real columns for p = 3, 6 or 8 at some
-    n, and were within the run-to-run spread: -2.8 to +1.8 % per pair over
-    5 pairs, -1.0 % in the median. The transposed product P^T K^T written
-    into a (3p + 1) x n array, which also saves ``_kernel_score`` its
-    transpose copy, was 3.0 to 10.7 % slower in all of 6 pairs. In isolated
-    timeit of this function at n = 300, p = 4 both were 3-7 % slower.
+    The result comes back in the layout ``_kernel_score`` reads, one row of
+    length n per moment. Against the pass it replaced, which formed K in
+    full-width row blocks and multiplied each by the n x (3p + 1) operand
+    (laid out by one more copy), this function alone took 142 against 190 us
+    at n = 300, p = 4; 121 against 129 us at n = 300, p = 2; 91 against 93 us
+    at n = 220, p = 4; 1.1 against 2.3 ms at n = 1000 and 11.8 against
+    21.5 ms at n = 3000 (minimum of 41 alternating rounds in one process, one
+    BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU VM). Each block
+    costs a few microseconds of calls whatever its size, which is why
+    n = 220, and n = 300 with 7 columns, gain little. In whole mc_gate_n300
+    rounds the median call fell by 7.9 and 8.7 % in two runs of 10
+    alternating pairs, faster in 9 of the 10 pairs of each.
     """
     p, n = Xt.shape
     # The exponent's factors: rows [a_i, -a_i^2 / 2, 1] times columns [a_k, 1, -a_k^2 / 2].
@@ -325,26 +339,36 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     np.multiply(-0.5 * a, a, out=lhs[:, 1])
     lhs[:, 2] = 1.0
     rhs = lhs.T[[0, 2, 1]]
-    # The operand's transpose, whose rows are x_j, a x_j and a^2 x_j for each
-    # column j of X, then a^3, is filled first, so that each multiplication
-    # runs along n in contiguous memory; one copy lays it out n x (3p + 1).
+    # The operand's rows are x_j, a x_j and a^2 x_j for each column j of X,
+    # then a^3, so that each multiplication runs along n in contiguous memory.
     P = np.empty((3 * p + 1, n))
     P[:p] = Xt
     np.multiply(a, Xt, out=P[p : 2 * p])
     np.multiply(a, P[p : 2 * p], out=P[2 * p : 3 * p])
     np.multiply(a * a, a, out=P[3 * p])
-    powers = P.T.copy()
-    del P
-    B = np.empty_like(powers)
-    rows = max(1, min(n, KERNEL_BLOCK_BYTES // (8 * n)))
-    K_buf = np.empty((rows, n))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        K = K_buf[: hi - lo]
-        np.matmul(lhs[lo:hi], rhs, out=K)
-        np.exp(K, out=K)
-        K.reshape(-1)[lo :: n + 1] = 0.0  # entries (i, lo + i): leave one out
-        np.matmul(K, powers, out=B[lo:hi])
+    B = np.empty_like(P)
+    m = max(1, min((n + 1) // 2, math.isqrt(KERNEL_BLOCK_BYTES // 8)))
+    # Each block of indices with its columns of the operand and the result
+    # and its rows and columns of the exponent's factors.
+    blocks = [(P[:, lo : lo + m], B[:, lo : lo + m], lhs[lo : lo + m], rhs[:, lo : lo + m]) for lo in range(0, n, m)]
+    K_buf = np.empty(m * m)
+    for b, (P_I, B_I, lhs_I, _) in enumerate(blocks):
+        for c, (P_J, B_J, _, rhs_J) in enumerate(blocks[b:], b):
+            # A contiguous block at the buffer's start, whether ragged or not.
+            width = P_J.shape[1]
+            flat = K_buf[: P_I.shape[1] * width]
+            K = flat.reshape(-1, width)
+            np.matmul(lhs_I, rhs_J, out=K)
+            np.exp(flat, out=flat)
+            if c == b:
+                flat[:: width + 1] = 0.0  # entries (i, i): leave one out
+            # Block row 0 is the first to reach each column block.
+            if b == 0:
+                np.matmul(P_I, K, out=B_J)
+            else:
+                B_J += P_I @ K
+            if c != b:
+                B_I += P_J @ K.T
     return B
 
 
@@ -378,9 +402,10 @@ def _kernel_score(
     Clamped points take the derivative of the point whose score they copy.
     ``dev`` is e minus its mean and ``Xt`` is X transposed, p x n, as the
     caller already holds them. ``X[:, 0]`` must be the intercept column, so
-    that the moments over X's columns hold the S_j in their first column.
-    Both derivatives are n x p; ``ds_frozen`` is returned as a transposed
-    view, since only the sandwich at an accepted root reads it.
+    that the moments over X's columns hold the S_j in their first row. Both
+    derivatives are n x p, returned as transposed views of the p x n arrays
+    the assembly forms: the callers pass them to ``matmul``, which takes
+    either memory order without a copy.
 
     All n^2 work, and all of the pass's memory beyond O(n p), is
     ``_kernel_product``'s: with a = (e - ebar) / h it gives
@@ -393,15 +418,16 @@ def _kernel_score(
     the residuals lies beyond sd / sqrt(f) of it, so |a| is small where they
     are dense, and a far outlier moves the centre by only its distance over
     n. The rest is O(n log n) assembly with no loop. It holds its arrays
-    transposed, one column of length n per row, so that each elementwise step
-    runs along n rather than across the p columns. The nearest dense point of
+    transposed, one row of length n per column of X, as the product returns
+    them, so that each elementwise step runs along n rather than across the p
+    columns. The nearest dense point of
     a clamped one is found by a sorted search over the dense residuals, and
     only the clamped columns are filled. When every point is dense nothing
     is sorted, and when none is clipped the clip fix-ups are skipped.
     """
     p, n = Xt.shape
     a = dev / h
-    B = _kernel_product(a, Xt).T.copy()
+    B = _kernel_product(a, Xt)
     B0, B1, B2, B3 = B[:p], B[p : 2 * p], B[2 * p : 3 * p], B[3 * p]
     M1 = a * B0
     M2 = a * (M1 - 2.0 * B1) + B2
@@ -458,7 +484,7 @@ def _kernel_score(
     if clipped.any():
         ds_newton[:, clipped] = -np.outer(dh, score[clipped]) / h
         ds_frozen[:, clipped] = 0.0
-    return score, ds_newton.T.copy(), ds_frozen.T
+    return score, ds_newton.T, ds_frozen.T
 
 
 def silverman_bandwidth(centered: np.ndarray) -> float:
@@ -554,7 +580,7 @@ def frozen_score_jacobian(design: DesignMatrix, J: np.ndarray, ds_frozen: np.nda
     """
     n, p = design.values.shape
     A = J.copy()
-    A[1:p, :p] = design.centered_regressors.T @ np.ascontiguousarray(ds_frozen) / n
+    A[1:p, :p] = design.centered_regressors.T @ ds_frozen / n
     return A
 
 

@@ -291,9 +291,13 @@ def direct_psi_oracle(design, y, point):
     return oracle
 
 
-def block_bytes(n, rows):
-    """A ``KERNEL_BLOCK_BYTES`` value that makes the kernel pass use blocks of ``rows`` rows."""
-    return 8 * n * rows
+def block_bytes(side):
+    """A ``KERNEL_BLOCK_BYTES`` value that makes the kernel pass use square blocks of ``side`` rows.
+
+    The pass caps the side at ceil(n / 2), so a side of n or more gives its
+    default two blocks per side.
+    """
+    return 8 * side * side
 
 
 def direct_kernel_oracle(e, h, X, dh):
@@ -369,9 +373,9 @@ class TestSemiparamPsi:
         design = build_design(ds, ModelSpec(response="Y", treatment="T", mediator="M"))
         point = np.array([0.05, 0.3, 0.4, 0.2])
         oracle = direct_psi_oracle(design, y, point)
-        # Blocks of one row, of 7 rows (a block edge inside the data) and of all rows.
-        for rows in (1, 7, y.size):
-            with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(y.size, rows)):
+        # Blocks of one row, of 5 rows (a ragged last block) and of half the rows.
+        for side in (1, 5, y.size):
+            with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(side)):
                 psi = evaluation_rows(design, y, point)
             assert np.max(np.abs(psi - oracle)) < 1e-8
 
@@ -1067,11 +1071,12 @@ ORACLE_RTOL = 4e-11
 
 
 class TestKernelBlocks:
-    """The row-blocked kernel pass against direct oracles and across block sizes."""
+    """The block-pair kernel pass against direct oracles and across block sizes."""
 
     # Residuals 11 bandwidths apart at h = 0.1: the two end points (rows 0 and
     # 7) are clipped, and the outliers 15 bandwidths out (rows 6 and 13) are
-    # clamped. With 7-row blocks each sits on a block edge.
+    # clamped. With blocks of 7 rows (the default halves) each sits on a
+    # block edge; with blocks of 4 the last block is ragged.
     EDGE_RESIDUALS = np.array([12.1, 1.1, 2.2, 3.3, 4.4, 5.5, 13.6, 0.0, 6.6, 7.7, 8.8, 9.9, 11.0, -1.5])
 
     def test_edge_residuals_are_clamped_and_clipped_at_block_edges(self):
@@ -1084,11 +1089,11 @@ class TestKernelBlocks:
         assert np.flatnonzero(~ok).tolist() == [6, 13]
         assert np.flatnonzero(ok & (np.abs(S1 / np.where(ok, S0, 1.0)) > 10.0)).tolist() == [0, 7]
 
-    @pytest.mark.parametrize("rows", [1, 7, EDGE_RESIDUALS.size])
-    def test_clamped_and_clipped_edges_match_oracles(self, rows):
+    @pytest.mark.parametrize("side", [1, 4, 7])
+    def test_clamped_and_clipped_edges_match_oracles(self, side):
         e, h = self.EDGE_RESIDUALS, 0.1
         design, y, point = design_with_residuals(e, 8)
-        with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(e.size, rows)):
+        with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(side)):
             score = kernel_pass(e, h, design.values, np.zeros(design.p))[0]
             errors = TestExactJacobians.fixed_bandwidth_errors(design, y, point, h, step_rel=1e-6)
         assert rel_err(score, direct_score_oracle(e, h)) <= BLOCK_RTOL
@@ -1100,25 +1105,47 @@ class TestKernelBlocks:
         n=st.integers(10, 700),
         p=st.integers(1, 5),
         kind=st.sampled_from(HARD_RESIDUALS),
-        rows=st.sampled_from([1, 7, None]),
+        side=st.sampled_from([1, 7, None]),
     )
-    @example(seed=1, n=700, p=3, kind="outlier_1e4sd", rows=None)
-    @example(seed=2, n=700, p=5, kind="outlier_50sd", rows=7)
+    @example(seed=1, n=700, p=3, kind="outlier_1e4sd", side=None)
+    @example(seed=2, n=700, p=5, kind="outlier_50sd", side=7)
     @settings(max_examples=40, deadline=None)
-    def test_matches_direct_oracle_on_hard_residuals(self, seed, n, p, kind, rows):
+    def test_matches_direct_oracle_on_hard_residuals(self, seed, n, p, kind, side):
         rng = np.random.default_rng(seed)
         e = hard_residuals(kind, n, rng)
         X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
         dh = rng.standard_normal(p)
         h = estimators.silverman_bandwidth(e - e.mean())
-        with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(n, rows or n)):
+        with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(side or n)):
             got = kernel_pass(e, h, X, dh)
         for g, want in zip(got, direct_kernel_oracle(e, h, X, dh)):
             assert rel_err(g, want) <= ORACLE_RTOL
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 299, 300, 301])
+    def test_product_matches_dense_oracle(self, n):
+        # Blocks of one row, of 64 rows (a ragged last block from n = 3 on)
+        # and the default halves (ragged at odd n). The points at a = 100,
+        # 200 and 300 lie e^-5000 from every other, so their sums are exactly
+        # zero: a diagonal left in place would add exactly 1 to their S0.
+        rng = np.random.default_rng(n)
+        a = 2.0 * rng.standard_normal(n)
+        isolated = np.unique([0, n // 2, n - 1]) if n > 3 else [n - 1]
+        a[isolated] = 100.0 * np.arange(1, len(isolated) + 1)
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        K = np.exp(-0.5 * (a[:, None] - a[None, :]) ** 2)
+        np.fill_diagonal(K, 0.0)
+        W = np.column_stack([X, a[:, None] * X, (a * a)[:, None] * X, a**3])
+        want, scale = (K @ W).T, (K @ np.abs(W)).T
+        for side in (1, 64, n):
+            with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(side)):
+                got = estimators._kernel_product(a, np.ascontiguousarray(X.T))
+            assert got.shape == (10, n)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+            assert np.all(got[:, isolated] == 0.0)
+
     def test_block_sizes_agree(self):
         # The edge residuals through the kernel pass, and a 120-row design
-        # (whose last 7-row block has one row) through rows, J and A.
+        # (whose last block of side 7 has one row) through rows, J and A.
         e, h = self.EDGE_RESIDUALS, 0.1
         rng = np.random.default_rng(10)
         X = np.column_stack([np.ones(e.size), rng.standard_normal((e.size, 2))])
@@ -1131,8 +1158,8 @@ class TestKernelBlocks:
         ]
         for n, call in cases:
             outputs = []
-            for rows in (1, 7, n):
-                with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(n, rows)):
+            for side in (1, 7, n):
+                with mock.patch.object(estimators, "KERNEL_BLOCK_BYTES", block_bytes(side)):
                     outputs.append(call())
             for other in outputs[:2]:
                 for got, want in zip(other, outputs[2]):
@@ -1155,7 +1182,7 @@ class TestKernelBlocks:
 
 def clamp_sources(e, h, X):
     """The clamped points of the kernel pass, and the dense point that argmin over |e_bad - e_good| picks for each."""
-    S0 = estimators._kernel_product((e - e.mean()) / h, np.ascontiguousarray(X.T))[:, 0]
+    S0 = estimators._kernel_product((e - e.mean()) / h, np.ascontiguousarray(X.T))[0]
     ok = S0 >= estimators.DENSITY_FLOOR_REL * S0.max()
     bad, good = np.flatnonzero(~ok), np.flatnonzero(ok)
     return bad, good[np.abs(e[bad, None] - e[good]).argmin(axis=1)]

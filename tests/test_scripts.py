@@ -115,9 +115,13 @@ def load_script(name):
     return module
 
 
-def canned_run(call_ms, peak_mb, correct=True, attempted=40):
-    """The two lines a benchmark run prints last, as ``perfbench/run.py`` writes them."""
-    info = json.dumps({"acme0_len_ratio": 0.48, "call_samples": 3})
+def canned_run(call_ms, peak_mb, correct=True, attempted=40, samples=None):
+    """The two lines a benchmark run prints last, as ``perfbench/run.py`` writes them.
+
+    ``samples`` are the run's call times; by default three calls of ``call_ms``.
+    """
+    samples = [call_ms] * 3 if samples is None else samples
+    info = json.dumps({"acme0_len_ratio": 0.48, "call_samples": len(samples), "call_ms": samples})
     metrics = {"call_ms_p50": {"value": call_ms, "unit": "ms"}, "peak_rss_mb": {"value": peak_mb, "unit": "MB"}}
     result = json.dumps({"correct": correct, "attempted": attempted, "failed": 0 if correct else attempted, "metrics": metrics})
     return f"info: {info}\n{result}\n"
@@ -131,7 +135,10 @@ def test_bench_pairs_summarizes_canned_runs():
         {"name": "peak_rss_mb", "better": "lower"},
     ]
     parent = [canned_run(ms, 40.0) for ms in (100.0, 104.0, 101.0, 103.0, 102.0)]
+    # One call of the change's second run is slow: its median stays put, its mean does not.
+    slow = [95.0, 95.0, 95.0, 395.0]
     change = [canned_run(ms, mb) for ms, mb in ((90.0, 40.5), (95.0, 39.5), (105.0, 40.0), (93.0, 41.0), (92.0, 39.0))]
+    change[1] = canned_run(95.0, 39.5, samples=slow)
     runs = {"parent": [bench_pairs.parse_run(s) for s in parent], "change": [bench_pairs.parse_run(s) for s in change]}
     summary = bench_pairs.summarize(runs, [7, 8, 9, 10, 11], declared)
     assert summary["all_runs_correct"] and summary["failed_total"] == 0
@@ -149,6 +156,13 @@ def test_bench_pairs_summarizes_canned_runs():
     assert call["median_change_rel"] == round((93.0 - 102.0) / 102.0, 4)
     # Ties count as not better.
     assert summary["metrics"]["peak_rss_mb"]["change_better_pairs"] == "2/5"
+    mean = summary["call_ms_mean"]
+    assert mean["parent_runs"] == [100.0, 104.0, 101.0, 103.0, 102.0]
+    assert mean["change_runs"] == [90.0, 170.0, 105.0, 93.0, 92.0]
+    assert mean["change_q25_median_q75"] == [92.0, 93.0, 105.0]
+    # Runs without call samples leave the mean out.
+    bare = {side: [dict(bench_pairs.parse_run(parent[0]), call_ms_mean=None)] for side in ("parent", "change")}
+    assert "call_ms_mean" not in bench_pairs.summarize(bare, [7], declared)
 
 
 def test_bench_pairs_flags_an_incorrect_run():
@@ -172,7 +186,7 @@ def test_bench_kernel_scaling_records_a_small_fit(tmp_path):
     effects = [record[k] for k in ("semiparametric_estimates", "semiparametric_ci_lower", "semiparametric_ci_upper")]
     assert all(len(values) == 5 and all(math.isfinite(v) for v in values) for values in effects)
     assert proc.stdout.startswith("n=200: ")
-    # A budget of 8000 bytes makes the pass take blocks of 5 rows; GEMM
+    # A budget of 8000 bytes makes the pass take blocks of side 31; GEMM
     # sums may round differently, so the effects agree to rounding.
     small = tmp_path / "small_blocks.json"
     proc = run_script("bench_kernel_scaling.py", "--n", "200", "--block-bytes", "8000", "--out", str(small))
