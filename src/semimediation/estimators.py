@@ -37,11 +37,11 @@ the mean-centred residuals and ``exp``, then one or two products with
 [X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum. The
 product comes back transposed, (3p + 1) x n, and the rest of a pass is
 O(n p) bookkeeping in that layout, so that each elementwise step runs along
-n and no step copies it into another; points below the
-density floor copy the nearest dense point, found by a sorted search. That
-search and the fix-ups for clipped scores run only when such points exist,
-and what depends on the design alone (its centred regressors and column
-means) is computed once per design.
+n and no step copies it into another; points below the density floor copy
+the nearest dense point, found by a sorted search. That search and the
+fix-ups for clipped scores run only when such points exist, and what depends
+on the design alone (its centred regressors and column means) is computed
+once per design.
 ``fit_semiparametric`` reads its design and response from the least-squares
 fit that seeds its starts and builds the fallback starts only once the
 least-squares start fails. Newton works on the equations' means alone, so
@@ -86,10 +86,11 @@ SCORE_CLIP_OVER_H = 10.0
 # most sqrt(KERNEL_BLOCK_BYTES / 8) = 256 and at most half of n, so up to
 # n = 512 the pass forms two diagonal blocks and one off-diagonal block. Of
 # 256 KiB, 512 KiB, 1 MiB and 2 MiB (sides 181, 256, 362 and 512), 512 KiB
-# made the pass fastest at n = 1000, 3000 and 10 000 (10 000: 131, 139, 156
+# made the pass fastest at n = 1000, 3000 and 10 000 (10 000: 139, 131, 156
 # and 172 ms, one BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU
-# VM), and the two smaller budgets kept peak RSS below the earlier row-block
-# pass's at 2 MiB in scripts/bench_kernel_scaling.py.
+# VM). In scripts/bench_kernel_scaling.py at n = 3000 to 20 000 the budgets
+# below 2 MiB peaked below the earlier row-block pass at 2 MiB, and 2 MiB
+# above it at n = 3000 and 10 000.
 KERNEL_BLOCK_BYTES = 512 * 1024
 # Memory for one block of rows on the least-squares path: the rows of [X | y]
 # that one QR step takes in, and the stacked estimating rows from which one
@@ -329,7 +330,7 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU VM). Each block
     costs a few microseconds of calls whatever its size, which is why
     n = 220, and n = 300 with 7 columns, gain little. In whole mc_gate_n300
-    rounds the median call fell by 7.9 and 8.7 % in two runs of 10
+    rounds the median call fell by 7.9, 8.7 and 12.1 % in three runs of 10
     alternating pairs, faster in 9 of the 10 pairs of each.
     """
     p, n = Xt.shape
@@ -420,10 +421,10 @@ def _kernel_score(
     n. The rest is O(n log n) assembly with no loop. It holds its arrays
     transposed, one row of length n per column of X, as the product returns
     them, so that each elementwise step runs along n rather than across the p
-    columns. The nearest dense point of
-    a clamped one is found by a sorted search over the dense residuals, and
-    only the clamped columns are filled. When every point is dense nothing
-    is sorted, and when none is clipped the clip fix-ups are skipped.
+    columns. The nearest dense point of a clamped one is found by a sorted
+    search over the dense residuals, and only the clamped columns are
+    filled. When every point is dense nothing is sorted, and when none is
+    clipped the clip fix-ups are skipped.
     """
     p, n = Xt.shape
     a = dev / h
