@@ -2,10 +2,8 @@
 """Reproduce the four-scenario Monte Carlo comparison (interaction model).
 
 Writes one metrics CSV per error law plus a combined table, and prints the
-scorecard. Replicates run one after another on one thread. With the default
-settings (n=300, 1000 replications) this took 23 s of wall time on a shared
-2-vCPU Intel Xeon VM with numpy 2.4.6, and --reps 200 took 4.8-5.2 s; lower
---reps for quick looks.
+scorecard. Replicates run one after another on one thread; lower --reps for
+quick looks.
 """
 
 import argparse

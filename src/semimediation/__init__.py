@@ -14,10 +14,7 @@ from .estimators import (
     RegressionFit,
     fit_ols,
     fit_semiparametric,
-    frozen_score_jacobian,
-    make_starts,
     newton_root,
-    screen_root,
     semiparam_psi,
 )
 from .inference import (
@@ -27,8 +24,6 @@ from .inference import (
     StackedFit,
     effect_map_g0,
     effect_map_g1,
-    jacobian_g0,
-    jacobian_g1,
     map_intervals,
     mediate,
     stack_fits,
@@ -40,10 +35,8 @@ from .simulation import (
     PowerReport,
     ReplicateResult,
     ScenarioConfig,
-    generate_interaction_dataset,
     run_power_study,
     run_scenario,
-    sample_error,
 )
 
 __all__ = [
@@ -59,10 +52,7 @@ __all__ = [
     "RegressionFit",
     "fit_ols",
     "fit_semiparametric",
-    "frozen_score_jacobian",
-    "make_starts",
     "newton_root",
-    "screen_root",
     "semiparam_psi",
     "EffectEstimates",
     "InferenceError",
@@ -70,8 +60,6 @@ __all__ = [
     "StackedFit",
     "effect_map_g0",
     "effect_map_g1",
-    "jacobian_g0",
-    "jacobian_g1",
     "map_intervals",
     "mediate",
     "stack_fits",
@@ -81,8 +69,6 @@ __all__ = [
     "PowerReport",
     "ReplicateResult",
     "ScenarioConfig",
-    "generate_interaction_dataset",
     "run_power_study",
     "run_scenario",
-    "sample_error",
 ]

@@ -111,7 +111,11 @@ class DesignMatrix:
 
     values: np.ndarray
     column_roles: tuple[str, ...]
-    p: int
+
+    @property
+    def p(self) -> int:
+        """The number of columns, read from ``values``."""
+        return self.values.shape[1]
 
     def role_index(self, role: str) -> int:
         return self.column_roles.index(role)
@@ -357,5 +361,5 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrix:
             np.multiply(t, m, out=values[:, 3])
     for j, name in enumerate(spec.covariates, start=len(roles) - len(spec.covariates)):
         values[:, j] = dataset.column(name)
-    return DesignMatrix(values, tuple(roles), len(roles))
+    return DesignMatrix(values, tuple(roles))
 

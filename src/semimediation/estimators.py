@@ -28,20 +28,8 @@ leave-one-out Gaussian-kernel pass (``semiparam_psi``) gives the equations'
 means, Newton's Jacobian (score re-estimated) and the frozen score's
 derivative as moment sums; ``A`` (score frozen) is formed from that
 derivative once per converged root (``frozen_score_jacobian``), not on every
-evaluation. The pass's n^2 work has one owner, ``_kernel_product``: the
-kernel matrix is symmetric, so it forms each square block on or above the
-diagonal once, in one reused buffer, and applies an off-diagonal block from
-both sides; its memory is a fixed budget (``KERNEL_BLOCK_BYTES``) plus
-O(n p), never O(n^2). Each block takes the exponent as one rank-3 product of
-the mean-centred residuals and ``exp``, then one or two products with
-[X, a X, a^2 X, a^3] whose binomial expansion gives every moment sum. The
-product comes back transposed, (3p + 1) x n, and the rest of a pass is
-O(n p) bookkeeping in that layout, so that each elementwise step runs along
-n and no step copies it into another; points below the density floor copy
-the nearest dense point, found by a sorted search. That search and the
-fix-ups for clipped scores run only when such points exist, and what depends
-on the design alone (its centred regressors and column means) is computed
-once per design.
+evaluation. The pass's n^2 work and its memory are described by
+``_kernel_product``'s docstring, its O(n p) rest by ``_kernel_score``'s.
 ``fit_semiparametric`` reads its design and response from the least-squares
 fit that seeds its starts and builds the fallback starts only once the
 least-squares start fails. Newton works on the equations' means alone, so
@@ -84,23 +72,14 @@ DENSITY_FLOOR_REL = 1e-3
 SCORE_CLIP_OVER_H = 10.0
 # Memory for the kernel pass's one square block of K: a block's side is at
 # most sqrt(KERNEL_BLOCK_BYTES / 8) = 256 and at most half of n, so up to
-# n = 512 the pass forms two diagonal blocks and one off-diagonal block. Of
-# 256 KiB, 512 KiB, 1 MiB and 2 MiB (sides 181, 256, 362 and 512), 512 KiB
-# made the pass fastest at n = 1000, 3000 and 10 000 (10 000: 139, 131, 156
-# and 172 ms, one BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU
-# VM). In scripts/bench_kernel_scaling.py at n = 3000 to 20 000 the budgets
-# below 2 MiB peaked below the earlier row-block pass at 2 MiB, and 2 MiB
-# above it at n = 3000 and 10 000.
+# n = 512 the pass forms two diagonal blocks and one off-diagonal block.
+# The sweep that chose it is BENCH_30.json's block_budget_sweep.
 KERNEL_BLOCK_BYTES = 512 * 1024
 # Memory for one block of rows on the least-squares path: the rows of [X | y]
 # that one QR step takes in, and the stacked estimating rows from which one
 # step of B is summed. Read by row_blocks alone; at p = 7 a fit of up to
-# 16 384 rows is one block. Swept with scripts/memory_stages.py at n = 200 000
-# (three covariates and interaction, one BLAS thread, shared 2-vCPU VM,
-# OpenBLAS 0.3.31), four runs each: at 256 KiB the two fit_ols calls took
-# 16-20 and 21-28 ms, stack_fits 19-29 ms, and the run peaked at 64.8-65.1 MB
-# of RSS; at 1 MiB 19-22 and 23-28 ms, 13-21 ms and 65.3-65.4 MB; at 4 MiB
-# 24-29 and 27-35 ms, 16-21 ms and 75.4 MB.
+# 16 384 rows is one block. The sweep that chose it is BENCH_27.json's
+# row_block_sweep.
 ROW_BLOCK_BYTES = 1024 * 1024
 
 
@@ -321,17 +300,8 @@ def _kernel_product(a: np.ndarray, Xt: np.ndarray) -> np.ndarray:
     the call.
 
     The result comes back in the layout ``_kernel_score`` reads, one row of
-    length n per moment. Against the pass it replaced, which formed K in
-    full-width row blocks and multiplied each by the n x (3p + 1) operand
-    (laid out by one more copy), this function alone took 142 against 190 us
-    at n = 300, p = 4; 121 against 129 us at n = 300, p = 2; 91 against 93 us
-    at n = 220, p = 4; 1.1 against 2.3 ms at n = 1000 and 11.8 against
-    21.5 ms at n = 3000 (minimum of 41 alternating rounds in one process, one
-    BLAS thread, OpenBLAS 0.3.31 with Haswell kernels, 2-vCPU VM). Each block
-    costs a few microseconds of calls whatever its size, which is why
-    n = 220, and n = 300 with 7 columns, gain little. In whole mc_gate_n300
-    rounds the median call fell by 7.9, 8.7 and 12.1 % in three runs of 10
-    alternating pairs, faster in 9 of the 10 pairs of each.
+    length n per moment. Its timings against the pass it replaced are
+    BENCH_30.json's product_micro_us.
     """
     p, n = Xt.shape
     # The exponent's factors: rows [a_i, -a_i^2 / 2, 1] times columns [a_k, 1, -a_k^2 / 2].
@@ -653,22 +623,6 @@ def newton_root(
     return NewtonResult(x, J, extra, MAX_NEWTON_ITERATIONS, norm, "maximum iterations reached")
 
 
-def make_starts(ols: RegressionFit) -> np.ndarray:
-    """Five deterministic starts around the least-squares solution, one per row.
-
-    The rows are b, b + d, b - d, b + s d and b - s d with the least-squares
-    coefficients b, per-coefficient steps d_j = max(0.05, 0.1 * max(1, |b_j|))
-    and the alternating sign vector s = (1, -1, 1, -1, ...); the variance
-    column is the least-squares residual variance throughout.
-    """
-    b = ols.theta[:-1]
-    d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
-    s = np.where(np.arange(b.size) % 2 == 0, 1.0, -1.0)
-    starts = np.tile(ols.theta, (5, 1))
-    starts[1:, :-1] += [d, -d, s * d, -s * d]
-    return starts
-
-
 def screen_root(
     theta: np.ndarray,
     rcond: float,
@@ -701,14 +655,16 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     ``ols`` is the least-squares fit of the regression: the design and
     response are read from it, and it seeds the starts and the screens.
-    Starts are tried in their fixed order, the rows of ``make_starts``; its
-    first row is the least-squares theta itself, and the other four are built
-    only if that start fails. A start's verdict is its Newton run's failure
-    reason, else the first screen its root breaks; the first start with
-    neither is returned with its residuals, centred score and sandwich
-    ``A``, and if none is, a :class:`FitFailure` records the reasons, one per
-    start. Needs n >= p + 10 so the residual score estimate has something to
-    work with. Newton runs on ``semiparam_psi`` itself; the root's Jacobian
+    Five starts are tried in a fixed order: the least-squares theta itself,
+    then, built only if that start fails, b + d, b - d, b + s d and b - s d,
+    with the least-squares coefficients b, per-coefficient steps
+    d_j = max(0.05, 0.1 * max(1, |b_j|)), the alternating signs
+    s = (1, -1, 1, -1, ...) and the least-squares variance. A start's verdict
+    is its Newton run's failure reason, else the first screen its root
+    breaks; the first start with neither is returned with its residuals,
+    centred score and sandwich ``A``, and if none is, a :class:`FitFailure`
+    records the reasons, one per start. Needs n >= p + 10 so the residual
+    score estimate has something to work with. Newton runs on ``semiparam_psi`` itself; the root's Jacobian
     and the rest of its evaluation come back with it, and ``A`` is formed
     from them once per converged root.
     """
@@ -721,7 +677,11 @@ def fit_semiparametric(ols: RegressionFit) -> RegressionFit | FitFailure:
 
     def starts() -> Iterator[np.ndarray]:
         yield ols.theta
-        yield from make_starts(ols)[1:]
+        b, sigma2 = ols.theta[:-1], ols.theta[-1]
+        d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
+        s = np.where(np.arange(b.size) % 2 == 0, 1.0, -1.0)
+        for step in (d, -d, s * d, -s * d):
+            yield np.append(b + step, sigma2)
 
     reasons: list[str] = []
     for idx, start in enumerate(starts()):

@@ -192,15 +192,10 @@ def _complex_step_jacobian(f, theta: np.ndarray) -> np.ndarray:
 def effect_map_g0(theta: np.ndarray) -> np.ndarray:
     """(ACME, ADE, ATE) from (beta2, beta3, gamma): the product-of-coefficients map.
 
-    Complex input is kept complex, for :func:`jacobian_g0`'s complex step.
+    Complex input is kept complex, for :func:`map_intervals`' complex step.
     """
     beta2, beta3, gamma = np.asarray(theta, dtype=complex if np.iscomplexobj(theta) else float)
     return np.array([beta2 * gamma, beta3, beta3 + beta2 * gamma])
-
-
-def jacobian_g0(theta: np.ndarray) -> np.ndarray:
-    """3x3 Jacobian of the no-interaction effect map in (beta2, beta3, gamma) order."""
-    return _complex_step_jacobian(effect_map_g0, theta)
 
 
 def effect_map_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
@@ -208,7 +203,7 @@ def effect_map_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
 
     The mediator means mu_M(0) = alpha2 + xi2'xbar and mu_M(1) = mu_M(0) + beta2
     use the empirical covariate mean, treated as fixed. Complex ``theta1`` is
-    kept complex, for :func:`jacobian_g1`'s complex step.
+    kept complex, for :func:`map_intervals`' complex step.
     """
     theta1 = np.asarray(theta1, dtype=complex if np.iscomplexobj(theta1) else float)
     xbar = np.asarray(xbar, dtype=float)
@@ -227,15 +222,6 @@ def effect_map_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
             beta3 + beta2 * gamma + eta * mu1,
         ]
     )
-
-
-def jacobian_g1(theta1: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-    """5x(5+q) row gradients of the interaction effect map.
-
-    Rows are the gradients of ACME(0), ACME(1), ADE(0), ADE(1), ATE with
-    respect to (alpha2, beta2, xi2, beta3, gamma, eta).
-    """
-    return _complex_step_jacobian(lambda v: effect_map_g1(v, xbar), theta1)
 
 
 def map_intervals(stacked: StackedFit, positions: list[int], f, names: tuple[str, ...]) -> EffectEstimates:

@@ -17,7 +17,6 @@ from semimediation.estimators import (
     fit_ols,
     fit_semiparametric,
     frozen_score_jacobian,
-    make_starts,
     newton_root,
     screen_root,
     semiparam_psi,
@@ -41,7 +40,7 @@ class TestFitOls:
 
         x = np.array([0.0, 1.0, 2.0])
         y = np.array([2.0, 5.0, 8.0])
-        design = DesignMatrix(np.column_stack([np.ones(3), x]), ("intercept", "covariate"), 2)
+        design = DesignMatrix(np.column_stack([np.ones(3), x]), ("intercept", "covariate"))
         fit = fit_ols(design, y)
         assert np.allclose(fit.theta[:-1], [2.0, 3.0], atol=1e-12)
         assert fit.theta[-1] == pytest.approx(0.0, abs=1e-20)
@@ -50,7 +49,7 @@ class TestFitOls:
         y = np.array([1.0, 2.0, 3.0])
         from semimediation.data import DesignMatrix
 
-        design = DesignMatrix(np.ones((3, 1)), ("intercept",), 1)
+        design = DesignMatrix(np.ones((3, 1)), ("intercept",))
         fit = fit_ols(design, y)
         assert fit.theta[0] == pytest.approx(2.0)
         assert fit.theta[-1] == pytest.approx(1.0)  # divisor n - p = 2
@@ -119,7 +118,7 @@ class TestFitOls:
         A[p, :p] = -2.0 * (e @ X) / n
         A[p, p] = -1.0
         assume(estimators.reciprocal_condition(A) >= 1e-8)
-        design = DesignMatrix(X, ("intercept",) + ("covariate",) * (p - 1), p)
+        design = DesignMatrix(X, ("intercept",) + ("covariate",) * (p - 1))
         with mock.patch.object(estimators, "ROW_BLOCK_BYTES", 8 * (p + 1) * QR_BLOCK_ROWS):
             beta = fit_ols(design, y).theta[:-1]
         assert np.max(np.abs(beta - oracle)) <= 1e-9 * np.max(np.abs(oracle))
@@ -127,7 +126,7 @@ class TestFitOls:
     def test_underdetermined_rejected(self):
         from semimediation.data import DesignMatrix
 
-        design = DesignMatrix(np.ones((1, 1)), ("intercept",), 1)
+        design = DesignMatrix(np.ones((1, 1)), ("intercept",))
         with pytest.raises(EstimationError, match="n > p"):
             fit_ols(design, np.array([1.0]))
 
@@ -235,7 +234,7 @@ class TestKernelScore:
 
         # An intercept-only design at beta = 0 makes the residuals the response.
         e = shift + scale * sample_error(ErrorSpec(law), np.random.default_rng(seed), n)
-        design = DesignMatrix(np.ones((n, 1)), ("intercept",), 1)
+        design = DesignMatrix(np.ones((n, 1)), ("intercept",))
         with mock.patch.object(estimators, "_kernel_score", wraps=estimators._kernel_score) as kernel_pass:
             semiparam_psi(design, e, np.array([0.0, 1.0]))
         assert kernel_pass.call_args.args[2] == 1.06 * np.std(e, ddof=1) * n**-0.2
@@ -248,7 +247,7 @@ class TestKernelScore:
     def test_too_few_residuals(self):
         from semimediation.data import DesignMatrix
 
-        design = DesignMatrix(np.ones((5, 1)), ("intercept",), 1)
+        design = DesignMatrix(np.ones((5, 1)), ("intercept",))
         with pytest.raises(EstimationError, match="at least 10"):
             semiparam_psi(design, np.arange(5.0), np.array([0.0, 1.0]))
 
@@ -581,7 +580,19 @@ class TestNewtonRoot:
             assert res.root[-1] > 0.0
 
 
-class TestMakeStarts:
+def documented_starts(theta):
+    """The five starts fit_semiparametric documents: b, b + d, b - d, b + s d and b - s d.
+
+    d = max(0.05, 0.1 * max(1, |b|)) and the alternating signs s = (1, -1, 1, ...);
+    sigma2 is the same in every start.
+    """
+    b, sigma2 = theta[:-1], theta[-1]
+    d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
+    s = np.array([(-1.0) ** j for j in range(b.size)])
+    return [np.append(coef, sigma2) for coef in (b, b + d, b - d, b + s * d, b - s * d)]
+
+
+class TestStarts:
     @given(
         beta=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=5),
         sigma2=st.floats(1e-3, 1e3),
@@ -591,24 +602,25 @@ class TestMakeStarts:
     @example(beta=[-1.7, 0.4, 12.0], sigma2=2.5)
     @example(beta=[1.0, -2.0, 0.01], sigma2=1.0)
     @settings(deadline=None)
-    def test_rows_are_the_documented_starts(self, beta, sigma2):
-        # The documented steps: d = max(0.05, 0.1 * max(1, |beta|)) and the
-        # alternating signs s = (1, -1, 1, ...); sigma2 is the same in every row.
-        b = np.array(beta)
-        d = np.maximum(0.05, 0.1 * np.maximum(1.0, np.abs(b)))
-        s = np.array([(-1.0) ** j for j in range(b.size)])
-        starts = make_starts(_fake_ols(b, sigma2))
-        assert starts.shape == (5, b.size + 1)
-        for row, coef in zip(starts, [b, b + d, b - d, b + s * d, b - s * d]):
-            assert np.array_equal(row, np.append(coef, sigma2))
+    def test_newton_receives_the_documented_starts_in_order(self, beta, sigma2):
+        # Every start is forced to fail, so Newton receives all five.
+        ols = _fake_ols(np.array(beta), sigma2)
+        received = []
+
+        def fail(F, x0):
+            received.append(np.array(x0, dtype=float))
+            return estimators.NewtonResult(received[-1], None, None, 1, 1.0, "forced")
+
+        with mock.patch.object(estimators, "newton_root", fail):
+            failure = fit_semiparametric(ols)
+        assert failure.reasons == tuple(f"start {k}: forced" for k in range(5))
+        assert [x0.tobytes() for x0 in received] == [row.tobytes() for row in documented_starts(ols.theta)]
 
 
 def _fake_ols(beta, sigma2):
     p = beta.size
-    n = 10 * p
-    from semimediation.data import DesignMatrix
-
-    design = DesignMatrix(np.column_stack([np.ones(n)] + [np.linspace(0, 1, n)] * (p - 1)), ("intercept",) * p, p)
+    n = 10 * p + 10  # fit_semiparametric needs n >= p + 10
+    design = DesignMatrix(np.column_stack([np.ones(n)] + [np.linspace(0, 1, n)] * (p - 1)), ("intercept",) * p)
     from semimediation.estimators import FitDiagnostics
 
     return RegressionFit(
@@ -808,12 +820,18 @@ class TestFitSemiparametric:
     def test_fallback_starts_are_built_in_order_only_after_start_0_fails(self, monkeypatch):
         design, y = law_design(ASYMMETRIC_MIXTURE, 0)
         ols = fit_ols(design, y)
-        with mock.patch.object(estimators, "make_starts", wraps=make_starts) as build:
-            assert fit_semiparametric(ols).diagnostics.start_index_used == 0
-        assert build.call_count == 0
-
         received = []
         real_newton_root = estimators.newton_root
+
+        def record(F, x0):
+            received.append(np.array(x0, dtype=float))
+            return real_newton_root(F, x0)
+
+        monkeypatch.setattr(estimators, "newton_root", record)
+        assert fit_semiparametric(ols).diagnostics.start_index_used == 0
+        assert [x0.tobytes() for x0 in received] == [ols.theta.tobytes()]
+
+        received.clear()
 
         def fail_two_starts(F, x0):
             received.append(np.array(x0, dtype=float))
@@ -826,7 +844,7 @@ class TestFitSemiparametric:
         assert isinstance(fit, RegressionFit)
         assert fit.diagnostics.start_index_used == 2
         assert fit.diagnostics.screened_reasons == ("start 0: forced", "start 1: forced")
-        assert [x0.tobytes() for x0 in received] == [row.tobytes() for row in make_starts(ols)[:3]]
+        assert [x0.tobytes() for x0 in received] == [row.tobytes() for row in documented_starts(ols.theta)[:3]]
 
     def test_no_rows_are_formed_during_the_fit(self):
         # Newton works on the equations' means; rows are formed only for B.

@@ -213,3 +213,28 @@ def test_memory_stages_reports_each_stage_of_a_small_run(tmp_path):
     assert maxrss == sorted(maxrss) and maxrss[0] > 0
     assert proc.stdout.split()[:5] == ["stage", "ms", "peak", "MiB", "live"]
     assert len(proc.stdout.splitlines()) == 1 + len(stages)
+
+
+def test_code_lines_counts_code_alone(tmp_path):
+    # Code lines: the import, the def, the two lines of the call and the
+    # return. The docstrings, the comment and the blank lines do not count.
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "import math\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function docstring."""\n'
+        "    # A comment.\n"
+        "    y = math.hypot(x,\n"
+        "                   1.0)  # a trailing comment\n"
+        "    return y\n"
+    )
+    empty = tmp_path / "empty.py"
+    empty.write_text("# only a comment\n\n")
+    proc = run_script("code_lines.py", str(source), str(empty))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"5  {source}", f"0  {empty}", "5  total"]
